@@ -201,11 +201,6 @@ func EngineCounters() Counters {
 // (see Runner.SetBatching). Front ends expose it as -batch; it defaults on.
 func SetBatching(on bool) { engine.SetBatching(on) }
 
-// BatchingEnabled reports whether the process-shared engine batches
-// same-trace jobs. Schedulers that order work to maximize batching (the
-// campaign engine) consult it.
-func BatchingEnabled() bool { return engine.BatchingEnabled() }
-
 // SetBatching toggles lockstep batching: when on (the default), RunAll groups
 // memoizable jobs sharing one (workload mix, seed, refs) trace identity and
 // advances each group's configs in lockstep over a single trace walk

@@ -199,14 +199,8 @@ func (d *Dispatcher) LastWorker(pos int) string { return d.entries[pos].lastWork
 // Attempts reports how many dispatches pos has consumed.
 func (d *Dispatcher) Attempts(pos int) int { return d.entries[pos].attempts }
 
-// Leased reports whether pos is currently held by a worker.
-func (d *Dispatcher) Leased(pos int) bool { return d.entries[pos].state == stateLeased }
-
 // Done reports whether every position is resolved (completed or dropped).
 func (d *Dispatcher) Done() bool { return d.open == 0 }
-
-// Open reports how many positions are still unresolved.
-func (d *Dispatcher) Open() int { return d.open }
 
 // Counters returns the dispatch telemetry accumulated so far.
 func (d *Dispatcher) Counters() DispatchCounters { return d.ctr }

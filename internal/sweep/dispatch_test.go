@@ -29,8 +29,8 @@ func TestDispatcherHappyPath(t *testing.T) {
 			t.Fatalf("Complete(%d) = false", pos)
 		}
 	}
-	if !d.Done() || d.Open() != 0 {
-		t.Fatalf("Done = %v, Open = %d after completing all", d.Done(), d.Open())
+	if !d.Done() {
+		t.Fatalf("Done = %v after completing all", d.Done())
 	}
 	c := d.Counters()
 	if c.Dispatches != 3 || c.Redispatches != 0 || c.Drops != 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -139,9 +140,9 @@ type Summary struct {
 }
 
 // Recorder turns completed point results into the campaign's canonical
-// NDJSON stream. It is the single authority on stream bytes: the local
-// engine and the fleet coordinator both feed results through a Recorder (in
-// whatever order execution happens to finish them), and the Recorder
+// NDJSON stream. It is the single authority on stream bytes: Engine.Run
+// feeds it every result in whatever order its Backend — in-process or a
+// worker fleet — happens to finish them, and the Recorder
 // buffers, aggregates and emits strictly in canonical index order — which
 // is why a campaign run through a flaky fleet is byte-identical to a local
 // run. Methods must be called from one goroutine at a time.
@@ -205,12 +206,6 @@ func NewRecorder(c Campaign, emit func(json.RawMessage) error) (*Recorder, error
 
 // Len is the number of points the campaign will emit.
 func (r *Recorder) Len() int { return len(r.pts) }
-
-// Points exposes the expanded points in canonical position order.
-func (r *Recorder) Points() []Point { return r.pts }
-
-// BaselineL2 is the designated baseline prefetcher.
-func (r *Recorder) BaselineL2() string { return r.bl }
 
 // Pair returns position pos's own point and, for non-baseline points, the
 // baseline partner whose result its speedup is computed against.
@@ -375,23 +370,36 @@ func (r *Recorder) Finish(fleet *FleetSummary) (Summary, error) {
 	return sum, nil
 }
 
-// Engine executes campaigns on the process-shared experiment engine.
-// The zero value is ready to use.
+// Backend executes a campaign's deduplicated simulation runs for Engine.Run.
+// Execute calls done or drop exactly once per run index, from the calling
+// goroutine, and returns the first error either callback reports. It
+// returns with runs unresolved only alongside an error (cancellation, or a
+// callback's). The FleetSummary it returns, when non-nil, is attached to the
+// campaign summary as fleet telemetry.
+type Backend interface {
+	Execute(ctx context.Context, runs []Point, done func(run int, res sim.Result) error, drop func(run int, reason string) error) (*FleetSummary, error)
+}
+
+// Engine executes campaigns. It is the one campaign executor for local and
+// fleet runs alike: it owns the Recorder, journal replay, the deduplication
+// of points into runs, the result store and the journal, and hands the runs
+// themselves to a Backend. The zero value runs campaigns in-process on the
+// shared experiment engine and is ready to use.
 type Engine struct {
-	// Workers is the simulation parallelism per batch (0 = GOMAXPROCS).
+	// Workers is the in-process simulation parallelism per batch
+	// (0 = GOMAXPROCS).
 	Workers int
-	// BatchSize bounds how many points are in flight per experiments.RunJobs
-	// call — the streaming granularity (0 = a multiple of Workers). Results
-	// are identical at any batch size.
-	BatchSize int
+	// Backend executes the runs; nil runs them in-process through
+	// experiments.RunJobs.
+	Backend Backend
 
 	// Journal, when non-nil, receives a durable record of every terminal
 	// point event and the final sealed summary, making the campaign
 	// crash-recoverable. Requires Store: the journal references results by
 	// store key and only claims a point after its results are in the store.
 	Journal *Journal
-	// Store is the ResultStore journaled completions are persisted to and
-	// rehydrated from.
+	// Store is the ResultStore runs are persisted to and rehydrated from.
+	// Runs it already holds complete without reaching the Backend.
 	Store experiments.ResultStore
 	// Resume, when non-nil, is a recovered journal's state: journaled
 	// completions replay from Store with zero simulations and only the
@@ -400,6 +408,8 @@ type Engine struct {
 	// Logf, when non-nil, receives degradation notices (a failing journal
 	// or store stops being written to, never fails the campaign).
 	Logf func(format string, args ...any)
+
+	batch int // in-process runs per RunJobs call; 0 = batchSize's default
 }
 
 func (e *Engine) logf(format string, args ...any) {
@@ -408,30 +418,33 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
+// batchSize bounds how many runs the in-process backend puts in flight per
+// experiments.RunJobs call — the streaming granularity: four per worker,
+// clamped to [16, 256]. Results are identical at any batch size.
 func (e *Engine) batchSize() int {
-	if e.BatchSize > 0 {
-		return e.BatchSize
+	if e.batch > 0 {
+		return e.batch
 	}
 	w := e.Workers
 	if w <= 0 {
-		w = 8
+		w = runtime.GOMAXPROCS(0)
 	}
-	b := 4 * w
-	if b < 16 {
-		b = 16
-	}
-	if b > 256 {
-		b = 256
-	}
-	return b
+	return min(max(4*w, 16), 256)
 }
 
-// Run expands c and simulates every point, calling emit with each marshaled
-// NDJSON record (header, points in index order, summary) as it becomes
-// available. Batches of points flow through experiments.RunJobs, so every
-// point shares the engine's memo and persistent disk cache with every other
-// front end — a resubmitted campaign re-simulates only points the caches
-// have never seen. A non-nil error from emit or ctx aborts the campaign.
+// Run expands c, executes every point on the Backend, and calls emit with
+// each marshaled NDJSON record (header, points in index order, summary) as
+// it becomes available. A non-nil error from emit or ctx aborts the
+// campaign.
+//
+// A point needs its own run and, unless it is a baseline point, its
+// baseline partner's. Run deduplicates the unresolved points into runs keyed
+// by experiments.JobKey — a baseline shared by thirty points runs once — in
+// trace-identity order, so configs sharing one (mix, seed, refs) stream are
+// adjacent and a batching backend advances them over a single trace walk.
+// Only scheduling follows that order: the Recorder emits (and accumulates
+// every float aggregate) strictly in index order, so the stream is
+// byte-identical whatever the backend and however its runs finish.
 func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage) error) (Summary, error) {
 	if e.Journal != nil && e.Store == nil {
 		return Summary{}, fmt.Errorf("sweep: journaled campaign needs a result store")
@@ -440,137 +453,220 @@ func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage)
 	if err != nil {
 		return Summary{}, err
 	}
-	pts := rec.Points()
 
 	// Resume: journaled terminal events replay through the Recorder before
 	// anything is scheduled — completions rehydrate from the store with zero
 	// simulations, drops re-drop, and only the unresolved tail runs below.
 	var resolved []bool
 	if e.Resume != nil {
-		resolved, err = e.Resume.Replay(rec, e.Store)
-		if err != nil {
+		if resolved, err = e.Resume.Replay(rec, e.Store); err != nil {
 			return Summary{}, err
 		}
 	}
 
-	// Scheduling order: canonical index order, or — when the engine batches —
-	// points regrouped by trace identity so configs sharing one (mix, seed,
-	// refs) stream land in the same RunJobs call and advance in lockstep over
-	// a single trace walk. Only scheduling changes: the Recorder emits (and
-	// accumulates every float aggregate) strictly in index order, so the
-	// NDJSON stream is byte-identical either way.
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
+	x := &execution{
+		e: e, rec: rec, jl: e.Journal, store: e.Store,
+		self: make([]int, rec.Len()),
+		base: make([]int, rec.Len()),
+		need: make([]int, rec.Len()),
 	}
-	if experiments.BatchingEnabled() {
-		order = groupedOrder(pts)
-	}
-	if resolved != nil {
-		kept := order[:0]
-		for _, pos := range order {
-			if !resolved[pos] {
-				kept = append(kept, pos)
-			}
+	at := map[string]int{}
+	for _, pos := range groupedOrder(rec.pts) {
+		if resolved != nil && resolved[pos] {
+			continue
 		}
-		order = kept
-	}
-
-	// The journal claims a point only once its results are durable: Put to
-	// the store, then append the done frame, then let the Recorder emit. A
-	// failing store or journal degrades — the campaign keeps running, it
-	// just stops being resumable from that event on.
-	jl, store := e.Journal, e.Store
-	stored := map[string]bool{}
-	putJob := func(j experiments.Job, res sim.Result) (string, bool) {
-		if store == nil {
-			return "", false
-		}
-		key, ok := experiments.JobKey(j)
-		if !ok {
-			return "", false
-		}
-		if !stored[key] {
-			if err := store.Put(key, res); err != nil {
-				e.logf("campaign store degraded, results no longer durable: %v", err)
-				store = nil
-				return "", false
-			}
-			stored[key] = true
-		}
-		return key, true
-	}
-
-	B := e.batchSize()
-	for lo := 0; lo < len(order); lo += B {
-		hi := lo + B
-		if hi > len(order) {
-			hi = len(order)
-		}
-		// One RunJobs batch: each point's own job plus its baseline partner,
-		// deduplicated within the batch. Cross-batch repeats (the same
-		// baseline needed again later) are free memo hits.
-		jobs := make([]experiments.Job, 0, 2*(hi-lo))
-		at := map[string]int{}
-		add := func(p Point) int {
-			k := pointKey(p)
-			if i, ok := at[k]; ok {
-				return i
-			}
-			at[k] = len(jobs)
-			jobs = append(jobs, p.Job())
-			return len(jobs) - 1
-		}
-		type slot struct{ self, base int }
-		slots := make([]slot, hi-lo)
-		for i, pos := range order[lo:hi] {
-			self, base, hasBase := rec.Pair(pos)
-			if !hasBase {
-				slots[i] = slot{self: add(self), base: -1}
-				continue
-			}
-			slots[i] = slot{base: add(base), self: add(self)}
-		}
-		results, err := experiments.RunJobs(ctx, jobs, e.Workers)
-		if err != nil {
-			return Summary{}, err
-		}
-		for i, pos := range order[lo:hi] {
-			var base *sim.Result
-			if slots[i].base >= 0 {
-				base = &results[slots[i].base]
-			}
-			if jl != nil {
-				self, basePt, hasBase := rec.Pair(pos)
-				selfKey, selfOK := putJob(self.Job(), results[slots[i].self])
-				baseKey, baseOK := "", true
-				if hasBase {
-					baseKey, baseOK = putJob(basePt.Job(), *base)
-				}
-				if selfOK && baseOK {
-					if err := jl.Done(pos, selfKey, baseKey); err != nil {
-						e.logf("campaign journal degraded, run no longer resumable: %v", err)
-						jl = nil
-					}
-				}
-			}
-			if err := rec.Complete(pos, results[slots[i].self], base); err != nil {
+		self, base, hasBase := rec.Pair(pos)
+		x.base[pos] = -1
+		if hasBase {
+			if x.base[pos], err = x.add(at, base, pos); err != nil {
 				return Summary{}, err
 			}
 		}
+		if x.self[pos], err = x.add(at, self, pos); err != nil {
+			return Summary{}, err
+		}
 	}
-	sum, err := rec.Finish(nil)
+	x.res = make([]sim.Result, len(x.runs))
+	x.durable = make([]bool, len(x.runs))
+
+	// Store pre-pass: runs the store already holds complete without reaching
+	// the backend. A torn or corrupt entry reads as a miss and runs again.
+	var pending []Point
+	var ids []int
+	var storeHits uint64
+	for id, p := range x.runs {
+		if e.Store != nil {
+			if res, ok := e.Store.Get(x.keys[id]); ok {
+				storeHits++
+				x.durable[id] = true
+				if err := x.complete(id, res); err != nil {
+					return Summary{}, err
+				}
+				continue
+			}
+		}
+		pending = append(pending, p)
+		ids = append(ids, id)
+	}
+
+	backend := e.Backend
+	if backend == nil {
+		backend = inProcess{workers: e.Workers, batch: e.batchSize()}
+	}
+	fleet, err := backend.Execute(ctx, pending,
+		func(i int, res sim.Result) error { return x.done(ids[i], res) },
+		func(i int, reason string) error { return x.drop(ids[i], reason) })
 	if err != nil {
 		return Summary{}, err
 	}
-	if jl != nil {
+	if fleet != nil {
+		fleet.StoreHits = storeHits
+	}
+	sum, err := rec.Finish(fleet)
+	if err != nil {
+		return Summary{}, err
+	}
+	if x.jl != nil {
 		if b, merr := json.Marshal(sum); merr == nil {
-			if err := jl.Seal(b); err != nil {
+			if err := x.jl.Seal(b); err != nil {
 				e.logf("campaign journal seal failed: %v", err)
 			}
 		}
 	}
 	return sum, nil
+}
+
+// execution is one Engine.Run's bookkeeping: the deduplicated runs, the
+// positions waiting on each, and the durable layers still being written.
+type execution struct {
+	e     *Engine
+	rec   *Recorder
+	jl    *Journal                // nil once degraded
+	store experiments.ResultStore // nil once degraded
+
+	runs    []Point
+	keys    []string // run → store key
+	waiters [][]int  // run → positions needing it
+	res     []sim.Result
+	durable []bool // run → held by the store (pre-pass hit or Put)
+
+	self, base []int // position → run (base -1 for baseline points)
+	need       []int // position → runs still outstanding
+}
+
+// add registers position pos as waiting on p's run, creating the run on
+// first sight, and returns the run's index.
+func (x *execution) add(at map[string]int, p Point, pos int) (int, error) {
+	key, ok := experiments.JobKey(p.Job())
+	if !ok {
+		return 0, fmt.Errorf("sweep: point %d is not memoizable", x.rec.idxs[pos])
+	}
+	id, seen := at[key]
+	if !seen {
+		id = len(x.runs)
+		at[key] = id
+		x.runs = append(x.runs, p)
+		x.keys = append(x.keys, key)
+		x.waiters = append(x.waiters, nil)
+	}
+	x.waiters[id] = append(x.waiters[id], pos)
+	x.need[pos]++
+	return id, nil
+}
+
+// done is the backend's completion callback: the result is Put to the store
+// first, so complete's journal frames only ever claim durable results.
+func (x *execution) done(id int, res sim.Result) error {
+	if x.store != nil {
+		if err := x.store.Put(x.keys[id], res); err != nil {
+			x.e.logf("campaign store degraded, results no longer durable: %v", err)
+			x.store = nil
+		} else {
+			x.durable[id] = true
+		}
+	}
+	return x.complete(id, res)
+}
+
+// complete delivers run id's result to every position waiting on it. A
+// position whose runs have all finished is journaled — when every run it
+// references is durable — and then handed to the Recorder.
+func (x *execution) complete(id int, res sim.Result) error {
+	x.res[id] = res
+	for _, pos := range x.waiters[id] {
+		if x.rec.Resolved(pos) {
+			continue // dropped with another run it needed
+		}
+		if x.need[pos]--; x.need[pos] > 0 {
+			continue
+		}
+		s, b := x.self[pos], x.base[pos]
+		var base *sim.Result
+		baseKey, durable := "", x.durable[s]
+		if b >= 0 {
+			base, baseKey, durable = &x.res[b], x.keys[b], durable && x.durable[b]
+		}
+		if x.jl != nil && durable {
+			if err := x.jl.Done(pos, x.keys[s], baseKey); err != nil {
+				x.journalDegraded(err)
+			}
+		}
+		if err := x.rec.Complete(pos, x.res[s], base); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drop abandons every unresolved position waiting on run id, with reason.
+func (x *execution) drop(id int, reason string) error {
+	for _, pos := range x.waiters[id] {
+		if x.rec.Resolved(pos) {
+			continue
+		}
+		if x.jl != nil {
+			if err := x.jl.Drop(pos, reason); err != nil {
+				x.journalDegraded(err)
+			}
+		}
+		if err := x.rec.Drop(pos, reason); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (x *execution) journalDegraded(err error) {
+	x.e.logf("campaign journal degraded, run no longer resumable: %v", err)
+	x.jl = nil
+}
+
+// inProcess is the default Backend: runs execute on the process-shared
+// experiment engine in lockstep batches, so every run shares the engine's
+// memo and persistent disk cache with every other front end. Runs arrive in
+// trace-identity order, so configs sharing a trace land in the same RunJobs
+// call and the first records wait only on the first batch. Local
+// simulations cannot fail short of cancellation: nothing is ever dropped.
+type inProcess struct{ workers, batch int }
+
+func (b inProcess) Execute(ctx context.Context, runs []Point, done func(int, sim.Result) error, _ func(int, string) error) (*FleetSummary, error) {
+	for lo := 0; lo < len(runs); lo += b.batch {
+		hi := min(lo+b.batch, len(runs))
+		jobs := make([]experiments.Job, hi-lo)
+		for i := range jobs {
+			jobs[i] = runs[lo+i].Job()
+		}
+		results, err := experiments.RunJobs(ctx, jobs, b.workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, res := range results {
+			if err := done(lo+i, res); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return nil, nil
 }
 
 func strategyName(s string) string {
@@ -599,15 +695,6 @@ func groupedOrder(pts []Point) []int {
 		out = append(out, groups[k]...)
 	}
 	return out
-}
-
-// pointKey is the canonical identity of a normalized point within a batch.
-func pointKey(p Point) string {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal point: %v", err))
-	}
-	return string(b)
 }
 
 func emitRec(emit func(json.RawMessage) error, v any) error {

@@ -57,8 +57,8 @@ func TestCampaignDeterministicStream(t *testing.T) {
 		Sample: Sample{Strategy: StrategyRandom, Points: 12, Seed: 3},
 	}
 	runs := [][]string{
-		collect(t, Engine{Workers: 1, BatchSize: 3}, c),
-		collect(t, Engine{Workers: 4, BatchSize: 5}, c),
+		collect(t, Engine{Workers: 1, batch: 3}, c),
+		collect(t, Engine{Workers: 4, batch: 5}, c),
 		collect(t, Engine{Workers: 2}, c),
 	}
 	for i := 1; i < len(runs); i++ {
@@ -101,7 +101,7 @@ func TestCampaignResumeSimulatesOnlyMissingPoints(t *testing.T) {
 	// Run 1: kill the campaign after the first batch lands.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng := Engine{Workers: 2, BatchSize: 4}
+	eng := Engine{Workers: 2, batch: 4}
 	c0 := experiments.EngineCounters()
 	var firstLines []string
 	_, err := eng.Run(ctx, c, func(line json.RawMessage) error {
@@ -323,7 +323,7 @@ func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 			L2:        []string{"none", "spp", "bop"},
 		},
 	}
-	eng := Engine{Workers: 2, BatchSize: 5}
+	eng := Engine{Workers: 2, batch: 5}
 	batched := collect(t, eng, c)
 	experiments.ResetMemo() // force the serial leg to actually re-simulate
 	experiments.SetBatching(false)
