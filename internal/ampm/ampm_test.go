@@ -1,6 +1,7 @@
 package ampm
 
 import (
+	"math/rand"
 	"testing"
 
 	"dspatch/internal/memaddr"
@@ -87,5 +88,36 @@ func TestMapEviction(t *testing.T) {
 func TestStorage(t *testing.T) {
 	if kb := float64(New(DefaultConfig()).StorageBits()) / 8192; kb > 2 {
 		t.Errorf("AMPM storage %.2fKB too large", kb)
+	}
+}
+
+// TestMapIndexMatchesLinearScan trains AMPM on a page-thrashing sequence —
+// random jumps and same-page strides over more pages than it has maps — and
+// after every Train checks the hashed lookup against a linear scan of the
+// maps for every page of the working set.
+func TestMapIndexMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := New(DefaultConfig())
+	const pages = 96 // 1.5x the 64 maps: every phase evicts
+	want := make([]*mapEntry, pages)
+	page := uint64(0)
+	for step := 0; step < 20_000; step++ {
+		if rng.Intn(3) > 0 {
+			page = uint64(rng.Intn(pages))
+		}
+		a.Train(acc(page*memaddr.LinesPage+uint64(rng.Intn(memaddr.LinesPage))), nil, nil)
+		// One linear pass over the maps yields the entry every page of the
+		// working set should resolve to.
+		clear(want)
+		for i := range a.maps {
+			if a.maps[i].valid {
+				want[a.maps[i].page] = &a.maps[i]
+			}
+		}
+		for p, w := range want {
+			if got := a.lookup(memaddr.Page(p)); got != w {
+				t.Fatalf("step %d: lookup(%d) = %p, linear scan %p", step, p, got, w)
+			}
+		}
 	}
 }

@@ -28,7 +28,8 @@
 // Replacement decisions are bit-for-bit those of the straightforward
 // scan-the-ways implementation: first invalid way, else (when DeadBlockAware)
 // the LRU prefetched-but-unused way, else plain LRU, ties always to the
-// lowest way index.
+// lowest way index. reference_test.go keeps that implementation as the
+// oracle of a randomized differential test and a fuzz target.
 package cache
 
 import (
@@ -46,10 +47,6 @@ type Config struct {
 	// lines that were never demanded are evicted first, approximating the
 	// dead-block predictor the paper's baseline LLC uses.
 	DeadBlockAware bool
-	// Reference selects the pre-optimization scan-the-ways tag store (see
-	// reference.go), kept so differential tests can prove the packed layout
-	// bit-identical. Simulations never set it.
-	Reference bool
 }
 
 // Sets returns the number of sets implied by the configuration.
@@ -94,8 +91,6 @@ type Cache struct {
 	validFull uint64 // fValid in every in-use nibble
 	stamp     uint64
 	stats     Stats
-
-	refWays []refWay // non-nil only in Config.Reference mode
 }
 
 // New builds a cache from cfg. Set count must be a power of two and Ways at
@@ -112,15 +107,6 @@ func New(cfg Config) *Cache {
 	tagOff := 1 + ptagWords
 	lruOff := tagOff + cfg.Ways
 	stride := (lruOff + cfg.Ways + 7) &^ 7 // whole 64B lines per block
-	if cfg.Reference {
-		return &Cache{
-			cfg:      cfg,
-			refWays:  make([]refWay, sets*cfg.Ways),
-			setMask:  uint64(sets - 1),
-			tagShift: uint(popShift(uint64(sets - 1))),
-			ways:     cfg.Ways,
-		}
-	}
 	return &Cache{
 		cfg:       cfg,
 		data:      make([]uint64, sets*stride),
@@ -210,9 +196,6 @@ type Result struct {
 // Access performs a demand load or store: it updates LRU and the per-line
 // use bits and returns whether the line was resident.
 func (c *Cache) Access(l memaddr.Line, write bool) Result {
-	if c.refWays != nil {
-		return c.refAccess(l, write)
-	}
 	c.stats.DemandAccesses++
 	set := c.set(l)
 	c.stamp++
@@ -240,9 +223,6 @@ func (c *Cache) Access(l memaddr.Line, write bool) Result {
 
 // Probe reports whether l is resident without perturbing any state.
 func (c *Cache) Probe(l memaddr.Line) bool {
-	if c.refWays != nil {
-		return c.refProbe(l)
-	}
 	return c.findWay(c.set(l), c.tag(l)) >= 0
 }
 
@@ -272,9 +252,6 @@ type Victim struct {
 // victim results. Otherwise the victim (if any way was valid) is returned so
 // callers can write back dirty data and run pollution accounting.
 func (c *Cache) Fill(l memaddr.Line, opts FillOpts) Victim {
-	if c.refWays != nil {
-		return c.refFill(l, opts)
-	}
 	set := c.set(l)
 	tag := c.tag(l)
 	if !opts.Absent {
@@ -386,9 +363,6 @@ func (c *Cache) argminLRU(set []uint64, mask uint64) int {
 
 // Invalidate removes l if resident, returning whether it was dirty.
 func (c *Cache) Invalidate(l memaddr.Line) (present, dirty bool) {
-	if c.refWays != nil {
-		return c.refInvalidate(l)
-	}
 	set := c.set(l)
 	way := c.findWay(set, c.tag(l))
 	if way < 0 {

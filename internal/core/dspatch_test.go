@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"dspatch/internal/bitpattern"
@@ -460,4 +461,61 @@ func TestBadSPTGeometryPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SPTEntries = 100
 	New(cfg)
+}
+
+// pbScan is the linear-scan oracle for lookupPB and the victim choice: one
+// pass over the PB fills slots[page] with the slot of the valid entry
+// tracking each page of the working set (-1 for untracked pages) and
+// returns the valid entry touched least recently, the min-stamp victim the
+// recency list replaces.
+func pbScan(d *DSPatch, slots []int) (oldest int) {
+	for p := range slots {
+		slots[p] = -1
+	}
+	oldest, stamp := -1, ^uint64(0)
+	for i := range d.pb {
+		if !d.pb[i].valid {
+			continue
+		}
+		slots[d.pb[i].page] = i
+		if d.pb[i].used < stamp {
+			oldest, stamp = i, d.pb[i].used
+		}
+	}
+	return oldest
+}
+
+// TestPBIndexMatchesLinearScan trains DSPatch on a page-thrashing sequence —
+// random jumps, same-page streams and page walks over more pages than the PB
+// holds, with periodic flushes that restart the filling phase — and after
+// every Train checks the hashed lookup against a linear scan of the PB for
+// every page, and (once the PB is full) the recency-list tail against the
+// min-stamp scan.
+func TestPBIndexMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := New(DefaultConfig())
+	const pages = 96 // 1.5x the 64-entry PB: every phase evicts
+	want := make([]int, pages)
+	page := uint64(0)
+	for step := 0; step < 20_000; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			page = uint64(rng.Intn(pages))
+		case 1:
+			page = (page + 1) % pages
+		}
+		d.Train(acc(uint64(rng.Intn(8)), page*memaddr.LinesPage+uint64(rng.Intn(memaddr.LinesPage))), lowBW, nil)
+		if step%5_000 == 4_999 {
+			d.Flush(lowBW)
+		}
+		oldest := pbScan(d, want)
+		for p, w := range want {
+			if got := d.lookupPB(memaddr.Page(p)); got != w {
+				t.Fatalf("step %d: lookupPB(%d) = %d, linear scan %d", step, p, got, w)
+			}
+		}
+		if int(d.pbFree) == len(d.pb) && int(d.pbTail) != oldest {
+			t.Fatalf("step %d: pbTail = %d, min-used entry %d", step, d.pbTail, oldest)
+		}
+	}
 }

@@ -89,8 +89,6 @@ func TestBatchMatchesSerialResults(t *testing.T) {
 	}
 	for i := range resB {
 		b, s := resB[i], resS[i]
-		b.StripPorts()
-		s.StripPorts() // live pointers; stripped on memoized paths anyway
 		if !reflect.DeepEqual(b, s) {
 			t.Errorf("job %d: batched result differs from serial\nbatched: %+v\nserial:  %+v", i, b, s)
 		}

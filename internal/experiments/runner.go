@@ -19,11 +19,6 @@ import (
 type Job struct {
 	Workloads []trace.Workload
 	Opt       sim.Options
-	// NeedPorts marks a job whose caller inspects the live memory-system
-	// ports of the result (e.g. Fig. 11b digs DSPatch's internal counters
-	// out of them). Such jobs bypass the memo, which stores results with
-	// their bulky port state stripped.
-	NeedPorts bool
 }
 
 // SingleJob is shorthand for a one-core job.
@@ -56,10 +51,10 @@ type runKey struct {
 }
 
 // memoizable reports whether j is a shareable run and, if so, its cache key.
-// Pollution-tracking and port-inspecting runs are excluded: their results
-// carry state that is not preserved by the memo.
+// Pollution-tracking runs are excluded: the key does not carry the flag, so
+// a tracked and an untracked run would share one entry.
 func memoizable(j Job) (runKey, bool) {
-	if j.Opt.TrackPollution || j.NeedPorts {
+	if j.Opt.TrackPollution {
 		return runKey{}, false
 	}
 	names := make([]string, len(j.Workloads))
@@ -244,9 +239,7 @@ func (r *Runner) run(j Job) sim.Result {
 }
 
 // runCtx executes one job, consulting the in-process memo first and then the
-// persistent disk cache (when configured). Memoized results drop their
-// Ports: live memory-system state is bulky, and jobs that need it set
-// NeedPorts to bypass the memo entirely.
+// persistent disk cache (when configured).
 //
 // Cancellation safety: a memo entry whose computation was canceled is
 // removed, never served. A waiter that finds a canceled entry retries with a
@@ -335,7 +328,6 @@ func (r *Runner) compute(ctx context.Context, e *memoEntry, key runKey, j Job, s
 		e.err = err
 		return
 	}
-	res.StripPorts()
 	r.cachePut(st, key, res)
 	e.res = res
 }
@@ -378,9 +370,8 @@ type task struct {
 	group  []int // nil for single tasks
 }
 
-// plan partitions jobs into tasks. Non-memoizable jobs (pollution tracking,
-// port inspection) always run alone — their results carry state the memo
-// cannot hold, so they bypass batching the same way they bypass the memo.
+// plan partitions jobs into tasks. Non-memoizable (pollution-tracking) jobs
+// always run alone: they bypass batching the same way they bypass the memo.
 // Memoizable jobs group by trace identity in first-appearance order, chunked
 // at maxBatchConfigs; groups of one degrade to plain single tasks.
 func (r *Runner) plan(jobs []Job) []task {
@@ -557,7 +548,6 @@ func (r *Runner) runGroup(ctx context.Context, jobs []Job, idxs []int, results [
 			}
 			for k, mb := range owned {
 				res := batch[k]
-				res.StripPorts()
 				r.sims.Add(1)
 				r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
 				r.cachePut(st, mb.key, res)

@@ -95,17 +95,6 @@ func TestRunMemoization(t *testing.T) {
 	if len(r.memo) != 2 {
 		t.Errorf("pollution-tracking run leaked into the memo, len = %d", len(r.memo))
 	}
-
-	// A port-inspecting run must bypass the memo and keep its ports.
-	needs := SingleJob(w, withPF)
-	needs.NeedPorts = true
-	res := r.run(needs)
-	if len(r.memo) != 2 {
-		t.Errorf("NeedPorts run leaked into the memo, len = %d", len(r.memo))
-	}
-	if len(res.Ports()) == 0 {
-		t.Error("NeedPorts run lost its ports")
-	}
 }
 
 func TestMemoKeyIgnoresSMSPHTEntries(t *testing.T) {

@@ -31,9 +31,9 @@ type ResultStore interface {
 
 // JobKey returns the canonical cache key of a job — the string the disk
 // cache hashes into a content address — and whether the job is memoizable
-// at all (pollution-tracking and port-inspecting runs are not). Two jobs
-// with equal keys are the same simulation: fleet coordinators shard and
-// deduplicate dispatches by this key.
+// at all (pollution-tracking runs are not). Two jobs with equal keys are the
+// same simulation: fleet coordinators shard and deduplicate dispatches by
+// this key.
 func JobKey(j Job) (string, bool) {
 	k, ok := memoizable(j)
 	if !ok {

@@ -5,10 +5,11 @@
 // tables, AMPM's access maps — with O(1) probes while the tables themselves
 // (and their LRU victim scans, which run only on eviction) stay untouched.
 //
-// The index is an acceleration structure, not state: every lookup answer is
-// checked against the backing table by the differential equivalence tests,
-// which run the same simulations with the linear scans (Reference mode) and
-// demand bit-identical results.
+// The index is an acceleration structure, not state: each model's tests
+// check every lookup answer against a linear scan of the backing table after
+// every Train of a thrashing sequence, and the golden result pins in
+// internal/sim hold whole simulations to the results the linear scans
+// produced.
 package idx
 
 // Table maps uint64 keys to non-negative int32 slots with linear probing

@@ -145,3 +145,22 @@ func TestInflightTableGrowsUnderPruneFreeStreak(t *testing.T) {
 		t.Errorf("prune after growth left %d records", tab.occupied)
 	}
 }
+
+// freeMSHRReserve is the linear-scan oracle for mshrRing.freeReserve: the
+// index of the first free slot at cycle now, provided at least reserve+1
+// slots are free (the reserve stays available to demands); -1 otherwise.
+func freeMSHRReserve(ring []uint64, now uint64, reserve int) int {
+	free, first := 0, -1
+	for i, t := range ring {
+		if t <= now {
+			free++
+			if first < 0 {
+				first = i
+			}
+			if free > reserve {
+				return first
+			}
+		}
+	}
+	return -1
+}

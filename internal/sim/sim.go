@@ -38,21 +38,6 @@ type Options struct {
 	// flag only controls whether the end-of-run snapshot is taken; it can
 	// never change a simulation's outcome.
 	CollectStats bool
-
-	// referenceMemsys selects the pre-optimization memory-system bookkeeping
-	// (map-based in-flight tracking, linear MSHR scans). Unexported: only the
-	// differential equivalence tests set it, to prove the optimized
-	// structures bit-identical.
-	referenceMemsys bool
-	// referenceModels selects the pre-optimization prefetcher-model lookups
-	// (linear DSPatch PB / SMS AT+FT / AMPM map scans, per-probe SPP
-	// divisions). Equivalence tests set it to prove the indexed fast paths
-	// bit-identical.
-	referenceModels bool
-	// directGeneration bypasses the process-shared materialized-trace store
-	// and drives each lane from a fresh generator, the pre-replay behaviour.
-	// Equivalence tests set it to prove record/replay bit-identical.
-	directGeneration bool
 }
 
 // ResultVersion stamps persisted results of Run. Bump it on ANY change that
@@ -146,26 +131,7 @@ type Result struct {
 	// lanes by model name; nil unless Options.CollectStats was set. Omitted
 	// from JSON when absent, so stats-free results keep their lean shape.
 	Prefetchers []PrefetcherStats `json:",omitempty"`
-
-	// ports are the live memory-system ports; see the Ports accessor.
-	ports []*memsys.Port
 }
-
-// Ports returns the live memory-system ports of a freshly computed Result,
-// for deep inspection (cache contents, model internals). Results that have
-// crossed a memo, disk cache or API boundary carry no live ports and return
-// nil.
-//
-// Deprecated: consumers should read the PortStats snapshot, or set
-// Options.CollectStats and read Prefetchers for model internals. This
-// accessor remains for one release for diagnostics that genuinely need the
-// live structures.
-func (r *Result) Ports() []*memsys.Port { return r.ports }
-
-// StripPorts drops the live port handles so only plain-data snapshots
-// remain. Callers that memoize, persist or marshal results call it first;
-// live mutable state must never escape through those paths.
-func (r *Result) StripPorts() { r.ports = nil }
 
 // memAdapter binds a port and the current reference so the cpu callback does
 // not allocate per access.
@@ -271,13 +237,11 @@ type machine struct {
 
 // newMachine wires one simulator for ws under opt. When ownCursors is false
 // the lanes are built without replay cursors: the caller feeds refs directly
-// through apply, sharing one cursor across machines. directGeneration always
-// builds per-lane generators regardless.
+// through apply, sharing one cursor across machines.
 func newMachine(ws []trace.Workload, opt Options, ownCursors bool) *machine {
 	n := len(ws)
 	d := dram.New(opt.DRAM)
 	cfg := memsys.DefaultConfig(opt.LLCBytes)
-	cfg.Reference = opt.referenceMemsys
 
 	var l1f func() prefetch.Prefetcher
 	if !opt.NoL1Stride {
@@ -295,10 +259,7 @@ func newMachine(ws []trace.Workload, opt Options, ownCursors bool) *machine {
 		ad := &memAdapter{port: sys.Port(i)}
 		laneSeed := LaneSeed(opt.Seed, i)
 		var gen trace.Generator
-		switch {
-		case opt.directGeneration:
-			gen = ws[i].Build(laneSeed)
-		case ownCursors:
+		if ownCursors {
 			// Every run of the same (workload, seed) replays one process-wide
 			// materialized stream: the generator executes once, and every
 			// prefetcher configuration and worker goroutine reads the same
@@ -393,7 +354,6 @@ func (m *machine) finish() Result {
 			UsefulPrefetches: p.UsefulPrefetches(),
 			UnusedPrefetches: p.UnusedPrefetches(),
 		})
-		res.ports = append(res.ports, p)
 	}
 	if m.opt.CollectStats {
 		for _, l := range m.lanes {

@@ -1,6 +1,7 @@
 package sms
 
 import (
+	"math/rand"
 	"testing"
 
 	"dspatch/internal/memaddr"
@@ -129,4 +130,49 @@ func TestBadPHTGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(Config{ATEntries: 4, FTEntries: 4, PHTEntries: 48, PHTWays: 16}) // 3 sets
+}
+
+// TestRegionIndexesMatchLinearScan trains SMS on a region-thrashing sequence
+// — random jumps and same-region bursts over more regions than the
+// accumulation and filter tables hold together — and after every Train
+// checks both hashed lookups against linear scans of their tables for every
+// region of the working set.
+func TestRegionIndexesMatchLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := New(IsoStorageConfig())
+	const regions = 160 // AT 64 + FT 32 = 96 live regions at most
+	// One linear pass over each table per step yields the entry every
+	// region of the working set should resolve to.
+	wantAT := make([]*atEntry, regions)
+	wantFT := make([]*ftEntry, regions)
+	scan := func() {
+		clear(wantAT)
+		clear(wantFT)
+		for i := range s.at {
+			if s.at[i].valid {
+				wantAT[s.at[i].reg] = &s.at[i]
+			}
+		}
+		for i := range s.ft {
+			if s.ft[i].valid {
+				wantFT[s.ft[i].reg] = &s.ft[i]
+			}
+		}
+	}
+	reg := uint64(0)
+	for step := 0; step < 20_000; step++ {
+		if rng.Intn(3) > 0 {
+			reg = uint64(rng.Intn(regions))
+		}
+		s.Train(acc(uint64(rng.Intn(4)), reg*RegionLines+uint64(rng.Intn(RegionLines))), nil, nil)
+		scan()
+		for r := region(0); r < regions; r++ {
+			if got := s.lookupAT(r); got != wantAT[r] {
+				t.Fatalf("step %d: lookupAT(%d) = %p, linear scan %p", step, r, got, wantAT[r])
+			}
+			if got := s.lookupFT(r); got != wantFT[r] {
+				t.Fatalf("step %d: lookupFT(%d) = %p, linear scan %p", step, r, got, wantFT[r])
+			}
+		}
+	}
 }

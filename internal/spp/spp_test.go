@@ -1,6 +1,7 @@
 package spp
 
 import (
+	"math/rand"
 	"testing"
 
 	"dspatch/internal/bitpattern"
@@ -239,5 +240,46 @@ func TestNames(t *testing.T) {
 	}
 	if New(EnhancedConfig()).Name() != "espp" {
 		t.Error("wrong name for eSPP")
+	}
+}
+
+// TestConfTabMatchesDivision checks the precomputed confidence table against
+// the division it replaces, 100*cDelta/cSig, over every counter state the
+// pattern table can hold: 1 <= cSig <= CounterMax and 0 <= cDelta <= cSig
+// (TestPatternCountersStayInTableRange pins those bounds).
+func TestConfTabMatchesDivision(t *testing.T) {
+	for _, counterMax := range []int{DefaultConfig().CounterMax, 7, 31} {
+		cfg := DefaultConfig()
+		cfg.CounterMax = counterMax
+		s := New(cfg)
+		for cSig := 1; cSig <= counterMax; cSig++ {
+			for cDelta := 0; cDelta <= cSig; cDelta++ {
+				if got, want := int(s.confTab[cSig*s.confSpan+cDelta]), 100*cDelta/cSig; got != want {
+					t.Fatalf("CounterMax %d: confTab[%d][%d] = %d, want %d", counterMax, cSig, cDelta, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPatternCountersStayInTableRange trains SPP on random in-page walks and
+// checks after every Train that every pattern-table entry stays inside the
+// range the confidence table covers.
+func TestPatternCountersStayInTableRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := New(DefaultConfig())
+	for step := 0; step < 20_000; step++ {
+		page := uint64(rng.Intn(32))
+		s.Train(miss(page*memaddr.LinesPage+uint64(rng.Intn(memaddr.LinesPage))), nil, nil)
+		for i, p := range s.pt {
+			if p.cSig > s.cfg.CounterMax {
+				t.Fatalf("step %d: pt[%d].cSig = %d > CounterMax %d", step, i, p.cSig, s.cfg.CounterMax)
+			}
+			for j, c := range p.cDelta {
+				if c < 0 || c > p.cSig {
+					t.Fatalf("step %d: pt[%d].cDelta[%d] = %d outside [0, cSig=%d]", step, i, j, c, p.cSig)
+				}
+			}
+		}
 	}
 }

@@ -28,8 +28,8 @@ type Header struct {
 	BaselineL2 string `json:"baseline_l2"`
 }
 
-// Metrics is the per-point slice of sim.Result a campaign reports (live port
-// state and pollution fractions are not part of the stream).
+// Metrics is the per-point slice of sim.Result a campaign reports (port
+// counters and pollution fractions are not part of the stream).
 type Metrics struct {
 	IPC              []float64 `json:"ipc"`
 	Cycles           uint64    `json:"cycles"`
