@@ -27,9 +27,9 @@ var updateGolden = flag.Bool("update-golden", false,
 // proof that an optimisation of the simulator is behaviour-preserving: any
 // change to a timing model, a tag store, the prefetch drain, a prefetcher
 // model or the trace replay shows up as a fingerprint mismatch. Regenerate
-// only for an intentional behaviour change (go test ./internal/sim -run
-// Golden -update-golden), bump ResultVersion with it, and say why in the
-// commit.
+// only for an intentional behaviour change (go test ./internal/sim
+// -run '^TestEquivalence' -update-golden), bump ResultVersion with it, and
+// say why in the commit.
 const goldenPath = "testdata/golden_results.json"
 
 // goldenCase is one pinned simulation.
@@ -185,16 +185,61 @@ func checkConservation(t *testing.T, name string, r Result) {
 	}
 }
 
-// TestGoldenResults checks every pinned case three ways — a machine stepped
-// in-package, Run, and one RunBatch per workload mix must agree bit for bit —
-// then checks the conservation laws and compares the fingerprint with the
-// committed pin. Workload mixes run as parallel subtests.
-func TestGoldenResults(t *testing.T) {
+// goldenClass sorts a pinned case, by its name, into the test that checks
+// it: the multi-programmed mixes, the no-L2-prefetcher baseline, the DSPatch
+// and SPP configurations, or the other prefetcher models.
+func goldenClass(name string) string {
+	pf := PF(path.Base(name))
+	switch {
+	case strings.HasPrefix(name, "mp/"):
+		return "mp"
+	case pf == PFNone:
+		return "baseline"
+	case strings.HasPrefix(string(pf), string(PFDSPatch)) || pf == PFSPP || pf == PFESPP:
+		return "single"
+	default:
+		return "models"
+	}
+}
+
+// TestEquivalenceBaseline checks the no-L2-prefetcher path (stride L1 only),
+// which every figure's baseline runs through, for every category.
+func TestEquivalenceBaseline(t *testing.T) { checkGolden(t, "baseline") }
+
+// TestEquivalenceSingleThread checks DSPatch, its adjuncts and ablations,
+// SPP and eSPP on the single-thread machine for every category.
+func TestEquivalenceSingleThread(t *testing.T) { checkGolden(t, "single") }
+
+// TestEquivalenceModelRoster checks the remaining prefetcher models — BOP,
+// eBOP, SMS, AMPM, the streamer and their SPP composites — on the
+// single-thread machine for every category.
+func TestEquivalenceModelRoster(t *testing.T) { checkGolden(t, "models") }
+
+// TestEquivalenceMultiProgrammed checks the two 4-core DefaultMP mixes, where
+// ports contend for the shared LLC and DRAM.
+func TestEquivalenceMultiProgrammed(t *testing.T) { checkGolden(t, "mp") }
+
+// checkGolden checks every pinned case of one class three ways — a machine
+// stepped in-package, Run, and one RunBatch per workload mix must agree bit
+// for bit — then checks the conservation laws and compares the fingerprint
+// with the committed pin. Workload mixes run as parallel subtests. With
+// -update-golden it rewrites the class's pins and keeps the others.
+func checkGolden(t *testing.T, class string) {
 	var mu sync.Mutex
 	got := map[string]string{}
-	groups, cases := goldenGroups(), 0
-	for _, g := range groups {
-		cases += len(g)
+	var groups [][]goldenCase
+	cases := 0
+	for _, g := range goldenGroups() {
+		var sub []goldenCase
+		for _, c := range g {
+			if goldenClass(c.name) == class {
+				sub = append(sub, c)
+			}
+		}
+		if len(sub) > 0 {
+			groups = append(groups, sub)
+			cases += len(sub)
+		}
 	}
 	t.Run("cases", func(t *testing.T) {
 		for _, g := range groups {
@@ -223,12 +268,36 @@ func TestGoldenResults(t *testing.T) {
 		}
 	})
 
+	// The pins of every class share one file.
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatalf("read golden pins (regenerate with -update-golden): %v", err)
+	}
+	all := map[string]string{}
+	if len(data) > 0 {
+		if err := json.Unmarshal(data, &all); err != nil {
+			t.Fatalf("parse %s: %v", goldenPath, err)
+		}
+	}
+	want := map[string]string{}
+	for key, h := range all {
+		if goldenClass(key) == class {
+			want[key] = h
+		}
+	}
+
 	if *updateGolden {
 		// A failed check or a -run filter would pin a wrong or partial set.
 		if t.Failed() || len(got) != cases {
 			t.Fatalf("refusing to write %d of %d golden pins from a run that did not pass in full", len(got), cases)
 		}
-		data, err := json.MarshalIndent(got, "", "  ")
+		for key := range want {
+			delete(all, key)
+		}
+		for key, h := range got {
+			all[key] = h
+		}
+		data, err := json.MarshalIndent(all, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,18 +307,10 @@ func TestGoldenResults(t *testing.T) {
 		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden pins to %s", len(got), goldenPath)
+		t.Logf("wrote %d %s golden pins to %s", len(got), class, goldenPath)
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden pins (regenerate with -update-golden): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
 	for key, h := range want {
 		if got[key] == "" {
 			t.Errorf("%s: case missing from the golden suite", key)
