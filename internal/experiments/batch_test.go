@@ -41,23 +41,11 @@ func TestBatchGroupingRunsOneBatch(t *testing.T) {
 	}
 }
 
-func TestBatchingDisabledRunsSerially(t *testing.T) {
-	r := NewRunner(1)
-	r.SetBatching(false)
-	if r.BatchingEnabled() {
-		t.Fatal("SetBatching(false) left batching enabled")
-	}
-	jobs := batchJobs(t, "linpack", 600, sim.PFNone, sim.PFSPP, sim.PFBOP)
-	r.RunAll(jobs, 1)
-	if c := r.Counters(); c.Sims != 3 || c.Batches != 0 {
-		t.Fatalf("serial-mode counters: %+v", c)
-	}
-}
-
 // TestBatchMatchesSerialResults is the engine-level half of the equivalence
-// story: the same heterogeneous job list — mixed prefetchers, LLC sizes, a
-// multi-lane mix, and a non-memoizable pollution job riding along — produces
-// bit-identical results with batching on and off.
+// story: a heterogeneous job list — mixed prefetchers, LLC sizes, a
+// multi-lane mix, and a non-memoizable pollution job riding along — run as
+// one batched RunAll produces bit-identical results to each job run alone on
+// a fresh Runner, where no lockstep group can form.
 func TestBatchMatchesSerialResults(t *testing.T) {
 	mk := func() []Job {
 		jobs := batchJobs(t, "tpcc", 900, sim.PFNone, sim.PFSPP, sim.PFDSPatch)
@@ -80,17 +68,18 @@ func TestBatchMatchesSerialResults(t *testing.T) {
 	}
 
 	batched := NewRunner(2)
-	serial := NewRunner(2)
-	serial.SetBatching(false)
 	resB := batched.RunAll(mk(), 2)
-	resS := serial.RunAll(mk(), 2)
 	if cb := batched.Counters(); cb.Batches == 0 {
 		t.Fatalf("batched runner executed no batches: %+v", cb)
 	}
-	for i := range resB {
-		b, s := resB[i], resS[i]
-		if !reflect.DeepEqual(b, s) {
-			t.Errorf("job %d: batched result differs from serial\nbatched: %+v\nserial:  %+v", i, b, s)
+	for i, j := range mk() {
+		alone := NewRunner(1)
+		s := alone.RunAll([]Job{j}, 1)[0]
+		if c := alone.Counters(); c.Sims != 1 || c.Batches != 0 {
+			t.Fatalf("job %d alone: counters %+v, want one unbatched sim", i, c)
+		}
+		if b := resB[i]; !reflect.DeepEqual(b, s) {
+			t.Errorf("job %d: batched result differs from the job run alone\nbatched: %+v\nalone:   %+v", i, b, s)
 		}
 	}
 }

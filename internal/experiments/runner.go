@@ -94,10 +94,10 @@ func memoizable(j Job) (runKey, bool) {
 // request installed it, so two distinct baselines never serialize on each
 // other and a duplicate submitted concurrently waits for the first instead of
 // re-simulating. Ownership is decided at insertion (the inserter computes,
-// everyone else waits on done), which lets the batch scheduler claim several
-// entries up front and fill them from one lockstep run. A canceled
-// computation records err; observers drop the entry from the memo so a later
-// request recomputes instead of inheriting the cancellation.
+// everyone else waits on done), which lets a worker claim a task's entries up
+// front and fill them from one lockstep run. A canceled computation records
+// err and is dropped from the memo, so a later request recomputes instead of
+// inheriting the cancellation.
 type memoEntry struct {
 	done     chan struct{} // closed once res/err/panicked are final
 	res      sim.Result
@@ -146,10 +146,6 @@ type Runner struct {
 	// while reads and simulation continue.
 	cacheWriteOff atomic.Bool
 
-	// batchOff disables lockstep batching: every job runs serially through
-	// runCtx, the pre-batching behaviour (the -batch=false A/B path).
-	batchOff atomic.Bool
-
 	sims     atomic.Uint64
 	memoHits atomic.Uint64
 	diskHits atomic.Uint64
@@ -192,20 +188,6 @@ func EngineCounters() Counters {
 	return engine.Counters()
 }
 
-// SetBatching toggles lockstep batch execution on the process-shared engine
-// (see Runner.SetBatching). Front ends expose it as -batch; it defaults on.
-func SetBatching(on bool) { engine.SetBatching(on) }
-
-// SetBatching toggles lockstep batching: when on (the default), RunAll groups
-// memoizable jobs sharing one (workload mix, seed, refs) trace identity and
-// advances each group's configs in lockstep over a single trace walk
-// (sim.RunBatch). Results are bit-identical either way; only scheduling and
-// throughput change.
-func (r *Runner) SetBatching(on bool) { r.batchOff.Store(!on) }
-
-// BatchingEnabled reports whether this runner batches same-trace jobs.
-func (r *Runner) BatchingEnabled() bool { return !r.batchOff.Load() }
-
 // Counters snapshots this runner's work ledger.
 func (r *Runner) Counters() Counters {
 	return Counters{
@@ -218,56 +200,33 @@ func (r *Runner) Counters() Counters {
 	}
 }
 
-// simulate runs j cold under ctx, bookkeeping the work ledger.
-func (r *Runner) simulate(ctx context.Context, j Job) (sim.Result, error) {
-	start := time.Now()
-	res, err := sim.RunCtx(ctx, j.Workloads, j.Opt)
-	if err != nil {
-		return res, err
-	}
-	r.sims.Add(1)
-	r.refsSim.Add(uint64(j.Opt.Refs) * uint64(len(j.Workloads)))
-	r.simNanos.Add(uint64(time.Since(start)))
-	return res, nil
-}
-
-// run executes one job on the background context (the library path, which
-// cannot be canceled and therefore cannot fail).
-func (r *Runner) run(j Job) sim.Result {
-	res, _ := r.runCtx(context.Background(), j)
-	return res
-}
-
-// runCtx executes one job, consulting the in-process memo first and then the
-// persistent disk cache (when configured).
+// runCtx resolves memoizable job jobs[i] whose entry another request may
+// own: it waits for that owner and serves its result as a memo hit.
 //
-// Cancellation safety: a memo entry whose computation was canceled is
-// removed, never served. A waiter that finds a canceled entry retries with a
-// fresh one as long as its own context is live, so one canceled request
-// never poisons the shared memo for others.
-func (r *Runner) runCtx(ctx context.Context, j Job) (sim.Result, error) {
-	key, ok := memoizable(j)
-	if !ok {
-		return r.simulate(ctx, j)
-	}
+// Cancellation safety: an entry whose computation was canceled is dropped,
+// never served. A waiter that finds one retries with a fresh entry as long as
+// its own context is live — claiming and filling it itself if nobody else
+// has — so one canceled request never poisons the shared memo for others.
+func (r *Runner) runCtx(ctx context.Context, jobs []Job, i int) (sim.Result, error) {
+	key, _ := memoizable(jobs[i])
 	for {
-		e, owner, st := r.acquire(key)
+		e, owner := r.acquire(key)
 		if owner {
-			r.compute(ctx, e, key, j, st)
+			r.fill(ctx, jobs, []claim{{idx: i, key: key, memo: true, e: e}})
 		} else {
 			<-e.done
 		}
 		if e.err != nil {
 			r.dropEntry(key, e)
 			if e.panicked != nil {
-				// Preserve sim.Run's panic semantics for the computing
-				// caller and waiters alike (dspatchd's execute recovers it
-				// into a failed job; the entry is gone, so a resubmission
-				// re-simulates instead of reading a poisoned memo).
+				// Preserve sim.Run's panic semantics for waiters (dspatchd's
+				// execute recovers it into a failed job; the entry is gone,
+				// so a resubmission re-simulates instead of reading a
+				// poisoned memo).
 				panic(e.panicked)
 			}
 			if err := ctx.Err(); err != nil {
-				return canceledResult(j), err
+				return canceledResult(jobs[i]), err
 			}
 			continue // the computing request was canceled, not this one: retry
 		}
@@ -279,19 +238,18 @@ func (r *Runner) runCtx(ctx context.Context, j Job) (sim.Result, error) {
 }
 
 // acquire looks up (or installs) the memo entry of key. The request that
-// installs the entry owns it — it must fill res/err and close done, through
-// compute or the batch path — and every later request waits on done instead.
-func (r *Runner) acquire(key runKey) (e *memoEntry, owner bool, st ResultStore) {
+// installs the entry owns it — it must fill res/err and close done through
+// fill — and every later request waits on done instead.
+func (r *Runner) acquire(key runKey) (e *memoEntry, owner bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e = r.memo[key]
 	if e == nil {
 		e = &memoEntry{done: make(chan struct{})}
 		r.memo[key] = e
 		owner = true
 	}
-	st = r.store
-	r.mu.Unlock()
-	return e, owner, st
+	return e, owner
 }
 
 // dropEntry removes a failed entry from the memo (if it is still the resident
@@ -304,32 +262,87 @@ func (r *Runner) dropEntry(key runKey, e *memoEntry) {
 	r.mu.Unlock()
 }
 
-// compute fills an owned entry serially: disk cache first, then a cold run.
-// The entry is always closed on return, panics included.
-func (r *Runner) compute(ctx context.Context, e *memoEntry, key runKey, j Job, st ResultStore) {
-	defer close(e.done)
-	// A panicking simulation must not leave a closed entry holding a zero
-	// Result with a nil error — later identical jobs would be served that
-	// zero result as a memo hit. Record the panic so every observer drops
-	// the entry and re-raises it.
-	defer func() {
-		if p := recover(); p != nil {
-			e.panicked = p
-			e.err = fmt.Errorf("simulation panicked: %v", p)
+// claim is one entry a worker owns and must fill: jobs[idx]'s result lands
+// in e. A memoizable job's entry sits in the memo under key; a
+// pollution-tracking job gets a private entry (memo false) that bypasses the
+// memo and the persistent store.
+type claim struct {
+	idx  int
+	key  runKey
+	memo bool
+	e    *memoEntry
+}
+
+// fill resolves owned entries of jobs sharing one trace identity: the
+// persistent store first, then one sim.RunBatchCtx walk for the rest — a lone
+// config is a batch of one. Every entry is closed on return.
+//
+// Failure isolation is per entry: a canceled run records the error into every
+// cold entry and drops it from the memo — siblings are never left holding a
+// partial result — and a panic is recorded the same way before it is
+// re-raised, so no waiter hangs on an open entry and each waiter re-raises it.
+func (r *Runner) fill(ctx context.Context, jobs []Job, cs []claim) {
+	r.mu.Lock()
+	st := r.store
+	r.mu.Unlock()
+	var cold []claim
+	for _, c := range cs {
+		if c.memo {
+			if res, ok := r.cacheGet(st, c.key); ok {
+				r.diskHits.Add(1)
+				c.e.res = res
+				close(c.e.done)
+				continue
+			}
 		}
+		cold = append(cold, c)
+	}
+	if len(cold) == 0 {
+		return
+	}
+	fail := func(err error, p any) {
+		for _, c := range cold {
+			c.e.err, c.e.panicked = err, p
+			close(c.e.done)
+			if c.memo {
+				r.dropEntry(c.key, c.e)
+			}
+		}
+	}
+	ws := jobs[cold[0].idx].Workloads
+	opts := make([]sim.Options, len(cold))
+	for k, c := range cold {
+		opts[k] = jobs[c.idx].Opt
+	}
+	start := time.Now()
+	batch, err := func() ([]sim.Result, error) {
+		defer func() {
+			if p := recover(); p != nil {
+				fail(fmt.Errorf("simulation panicked: %v", p), p)
+				panic(p)
+			}
+		}()
+		return sim.RunBatchCtx(ctx, ws, opts)
 	}()
-	if res, ok := r.cacheGet(st, key); ok {
-		r.diskHits.Add(1)
-		e.res = res
-		return
-	}
-	res, err := r.simulate(ctx, j)
 	if err != nil {
-		e.err = err
+		fail(err, nil)
 		return
 	}
-	r.cachePut(st, key, res)
-	e.res = res
+	// One batch is one trace walk: wall time lands once, work (sims, refs)
+	// lands per member config.
+	r.simNanos.Add(uint64(time.Since(start)))
+	if len(cold) > 1 {
+		r.batches.Add(1)
+	}
+	for k, c := range cold {
+		r.sims.Add(1)
+		r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
+		if c.memo {
+			r.cachePut(st, c.key, batch[k])
+		}
+		c.e.res = batch[k]
+		close(c.e.done)
+	}
 }
 
 // canceledResult is the placeholder for a run aborted by cancellation: zero
@@ -363,32 +376,19 @@ type batchKey struct {
 	seed  int64
 }
 
-// task is one unit of worker-pool scheduling: a single job index, or a group
-// of job indices sharing one trace identity that run as a lockstep batch.
-type task struct {
-	single int
-	group  []int // nil for single tasks
-}
-
-// plan partitions jobs into tasks. Non-memoizable (pollution-tracking) jobs
-// always run alone: they bypass batching the same way they bypass the memo.
-// Memoizable jobs group by trace identity in first-appearance order, chunked
-// at maxBatchConfigs; groups of one degrade to plain single tasks.
-func (r *Runner) plan(jobs []Job) []task {
-	if r.batchOff.Load() || len(jobs) < 2 {
-		tasks := make([]task, len(jobs))
-		for i := range jobs {
-			tasks[i] = task{single: i}
-		}
-		return tasks
-	}
-	tasks := make([]task, 0, len(jobs))
+// plan partitions jobs into tasks, each a list of job indices one worker runs
+// as a single lockstep batch. Memoizable jobs group by trace identity in
+// first-appearance order, chunked at maxBatchConfigs; a lone job is a group
+// of one. Non-memoizable (pollution-tracking) jobs always run alone: they
+// bypass batching the same way they bypass the memo.
+func plan(jobs []Job) [][]int {
+	var tasks [][]int
 	groups := map[batchKey][]int{}
 	var order []batchKey
 	for i, j := range jobs {
 		key, ok := memoizable(j)
 		if !ok {
-			tasks = append(tasks, task{single: i})
+			tasks = append(tasks, []int{i})
 			continue
 		}
 		bk := batchKey{names: key.names, refs: key.refs, seed: key.seed}
@@ -400,12 +400,7 @@ func (r *Runner) plan(jobs []Job) []task {
 	for _, bk := range order {
 		idxs := groups[bk]
 		for lo := 0; lo < len(idxs); lo += maxBatchConfigs {
-			hi := min(lo+maxBatchConfigs, len(idxs))
-			if hi-lo == 1 {
-				tasks = append(tasks, task{single: idxs[lo]})
-			} else {
-				tasks = append(tasks, task{group: idxs[lo:hi]})
-			}
+			tasks = append(tasks, idxs[lo:min(lo+maxBatchConfigs, len(idxs))])
 		}
 	}
 	return tasks
@@ -419,7 +414,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 	if workers <= 0 {
 		workers = r.workers
 	}
-	tasks := r.plan(jobs)
+	tasks := plan(jobs)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -433,22 +428,9 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 		}
 		errMu.Unlock()
 	}
-	runTask := func(t task) {
-		if t.group == nil {
-			// runCtx returns canceledResult-shaped placeholders on error, so
-			// results[i] always has one IPC slot per workload.
-			res, err := r.runCtx(ctx, jobs[t.single])
-			if err != nil {
-				noteErr(err)
-			}
-			results[t.single] = res
-			return
-		}
-		r.runGroup(ctx, jobs, t.group, results, noteErr)
-	}
 	if workers <= 1 {
 		for _, t := range tasks {
-			runTask(t)
+			r.runGroup(ctx, jobs, t, results, noteErr)
 		}
 	} else {
 		var next atomic.Int64
@@ -462,7 +444,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 					if i >= len(tasks) {
 						return
 					}
-					runTask(tasks[i])
+					r.runGroup(ctx, jobs, tasks[i], results, noteErr)
 				}
 			}()
 		}
@@ -471,99 +453,38 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 	return results, firstErr
 }
 
-// runGroup executes a group of memoizable jobs sharing one trace identity.
-// The memo and disk cache are consulted per config first: entries another
-// request already owns, and disk-cached configs, never join the batch. The
-// remaining owned configs advance in lockstep through one sim.RunBatchCtx
-// walk of the shared trace.
-//
-// Failure isolation mirrors the serial path per entry: a canceled batch
-// records the error into every owned entry and drops them all — siblings are
-// never poisoned with a partial result — and a panic is recorded into every
-// owned entry before re-raising, so no waiter hangs on an open entry.
+// runGroup executes one task. Each memoizable job claims its memo entry; the
+// owned entries fill from one lockstep run, and entries another request
+// already owns (possibly an earlier duplicate in this very task) are waited
+// on afterwards. Waiting then is deadlock-free: this worker holds no open
+// entries anymore. Failed entries yield canceledResult-shaped placeholders,
+// so results[i] always has one IPC slot per workload.
 func (r *Runner) runGroup(ctx context.Context, jobs []Job, idxs []int, results []sim.Result, noteErr func(error)) {
-	type member struct {
-		idx int
-		key runKey
-		e   *memoEntry
-	}
-	var owned []member
-	var rest []int // indices resolved through runCtx after the batch
-	var st ResultStore
+	var owned []claim
+	var waits []int
 	for _, i := range idxs {
-		key, _ := memoizable(jobs[i])
-		e, owner, s := r.acquire(key)
-		st = s
+		key, memo := memoizable(jobs[i])
+		if !memo {
+			owned = append(owned, claim{idx: i, e: &memoEntry{done: make(chan struct{})}})
+			continue
+		}
+		e, owner := r.acquire(key)
 		if !owner {
-			// Someone else (possibly an earlier duplicate in this very group)
-			// is computing this entry; wait for it after the batch runs.
-			rest = append(rest, i)
+			waits = append(waits, i)
 			continue
 		}
-		if res, ok := r.cacheGet(st, key); ok {
-			r.diskHits.Add(1)
-			e.res = res
-			close(e.done)
-			results[i] = res
-			continue
-		}
-		owned = append(owned, member{idx: i, key: key, e: e})
+		owned = append(owned, claim{idx: i, key: key, memo: true, e: e})
 	}
-
-	if len(owned) > 0 {
-		ws := jobs[owned[0].idx].Workloads
-		opts := make([]sim.Options, len(owned))
-		for k, mb := range owned {
-			opts[k] = jobs[mb.idx].Opt
+	r.fill(ctx, jobs, owned)
+	for _, c := range owned {
+		results[c.idx] = c.e.res
+		if c.e.err != nil {
+			noteErr(c.e.err)
+			results[c.idx] = canceledResult(jobs[c.idx])
 		}
-		func() {
-			start := time.Now()
-			defer func() {
-				if p := recover(); p != nil {
-					for _, mb := range owned {
-						mb.e.panicked = p
-						mb.e.err = fmt.Errorf("simulation panicked: %v", p)
-						close(mb.e.done)
-						r.dropEntry(mb.key, mb.e)
-					}
-					panic(p)
-				}
-			}()
-			batch, err := sim.RunBatchCtx(ctx, ws, opts)
-			if err != nil {
-				for _, mb := range owned {
-					mb.e.err = err
-					close(mb.e.done)
-					r.dropEntry(mb.key, mb.e)
-					results[mb.idx] = canceledResult(jobs[mb.idx])
-				}
-				noteErr(err)
-				return
-			}
-			// One batch is one trace walk: wall time lands once, work
-			// (sims, refs) lands per member config.
-			r.simNanos.Add(uint64(time.Since(start)))
-			if len(owned) > 1 {
-				r.batches.Add(1)
-			}
-			for k, mb := range owned {
-				res := batch[k]
-				r.sims.Add(1)
-				r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
-				r.cachePut(st, mb.key, res)
-				mb.e.res = res
-				close(mb.e.done)
-				results[mb.idx] = res
-			}
-		}()
 	}
-
-	// Entries owned elsewhere resolve through the serial path: by now the
-	// owner has finished or will shortly, so these become memo hits (or
-	// retries, if the owner was canceled). Waiting here is deadlock-free —
-	// this worker holds no open entries anymore.
-	for _, i := range rest {
-		res, err := r.runCtx(ctx, jobs[i])
+	for _, i := range waits {
+		res, err := r.runCtx(ctx, jobs, i)
 		if err != nil {
 			noteErr(err)
 		}

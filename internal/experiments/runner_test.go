@@ -63,11 +63,12 @@ func TestRunMemoization(t *testing.T) {
 	opt.Refs = 2_000
 
 	r := NewRunner(1)
-	first := r.run(SingleJob(w, opt))
+	run := func(j Job) sim.Result { return r.RunAll([]Job{j}, 1)[0] }
+	first := run(SingleJob(w, opt))
 	if len(r.memo) != 1 {
 		t.Fatalf("baseline run should populate the memo, len = %d", len(r.memo))
 	}
-	second := r.run(SingleJob(w, opt))
+	second := run(SingleJob(w, opt))
 	if !eqFloats(first.IPC, second.IPC) {
 		t.Errorf("memoized result differs: %v vs %v", first.IPC, second.IPC)
 	}
@@ -76,11 +77,11 @@ func TestRunMemoization(t *testing.T) {
 	// its own key.
 	withPF := opt
 	withPF.L2 = sim.PFSPP
-	pf1 := r.run(SingleJob(w, withPF))
+	pf1 := run(SingleJob(w, withPF))
 	if len(r.memo) != 2 {
 		t.Fatalf("PF run should get its own memo entry, len = %d", len(r.memo))
 	}
-	pf2 := r.run(SingleJob(w, withPF))
+	pf2 := run(SingleJob(w, withPF))
 	if !eqFloats(pf1.IPC, pf2.IPC) {
 		t.Errorf("memoized PF result differs: %v vs %v", pf1.IPC, pf2.IPC)
 	}
@@ -91,7 +92,7 @@ func TestRunMemoization(t *testing.T) {
 	// A pollution-tracking run must not be memoized.
 	tracked := opt
 	tracked.TrackPollution = true
-	r.run(SingleJob(w, tracked))
+	run(SingleJob(w, tracked))
 	if len(r.memo) != 2 {
 		t.Errorf("pollution-tracking run leaked into the memo, len = %d", len(r.memo))
 	}

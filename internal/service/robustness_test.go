@@ -183,20 +183,28 @@ func TestLivezReadyzSplitAcrossDrain(t *testing.T) {
 // content is a byte-identical prefix of the single-node reference — partial,
 // never corrupt.
 func TestCampaignFollowerDrainCleanPrefix(t *testing.T) {
-	// Distinctive refs, unique to this test — sized so the first point
-	// record lands well inside one follow window even under -race, while
-	// staying slow enough that the drain usually interrupts the campaign.
+	// Distinctive refs, unique to this test — slow enough that the drain
+	// usually interrupts the campaign.
 	spec := tinyCampaign(800_003)
 	want := localReference(t, spec)
 	experiments.ResetMemo() // make the daemon's run cold so the drain lands mid-campaign
 
-	s, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1})
-	ctx := ctxT(t)
+	// The follower waits for the first point record itself, not for a fixed
+	// wall-clock window: the follow window, the daemon's MaxWait and the
+	// request context all run to the test's own deadline (less a margin for
+	// cleanup), so a slow or loaded host makes the test slower, not flaky.
+	follow := 10 * time.Minute
+	if dl, ok := t.Deadline(); ok {
+		follow = max(time.Until(dl)-30*time.Second, 25*time.Second)
+	}
+	s, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, MaxWait: follow})
+	ctx, cancelCtx := context.WithTimeout(context.Background(), follow)
+	defer cancelCtx()
 	j, err := c.SubmitCampaign(ctx, spec)
 	if err != nil {
 		t.Fatalf("SubmitCampaign: %v", err)
 	}
-	stream, err := c.CampaignStream(ctx, j.ID, 25*time.Second)
+	stream, err := c.CampaignStream(ctx, j.ID, follow)
 	if err != nil {
 		t.Fatalf("CampaignStream: %v", err)
 	}

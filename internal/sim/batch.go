@@ -27,10 +27,10 @@ func RunBatch(ws []trace.Workload, opts []Options) []Result {
 	return res
 }
 
-// RunBatchCtx is RunBatch with a cancellation hook, polled on the same
-// cadence as RunCtx. A canceled batch returns one placeholder Result per
-// configuration (zero metrics, one IPC slot per workload) and ctx.Err(),
-// mirroring RunCtx's cancellation contract for every member.
+// RunBatchCtx is RunBatch with a cancellation hook, polled every
+// cancelCheckMask+1 references. A canceled batch returns one placeholder
+// Result per configuration (zero metrics, one IPC slot per workload) and
+// ctx.Err(). It is the package's only run loop: RunCtx is a batch of one.
 func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Result, error) {
 	if len(opts) == 0 {
 		return nil, nil
@@ -48,12 +48,15 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 		return canceledBatch(n, len(opts)), err
 	}
 
-	// A single-lane batch replays one literal cursor: each ref is fetched
-	// once and fed to every machine. Multi-lane machines interleave their
-	// lanes by per-machine core timing, so each machine keeps its own cursors
-	// over the shared columns and the batch steps the machines round-robin —
-	// still one outer pass, still cache-resident together.
-	shared := n == 1
+	// A single-lane batch of several configs replays one literal cursor:
+	// each ref is fetched once and fed to every machine. Multi-lane machines
+	// interleave their lanes by per-machine core timing, so each machine
+	// keeps its own cursors over the shared columns and the batch steps the
+	// machines round-robin — still one outer pass, still cache-resident
+	// together. A batch of one steps its own cursor too: it has nobody to
+	// share a decoded chunk with, so filling the buffer would be pure
+	// overhead.
+	shared := n == 1 && len(opts) > 1
 
 	machines := make([]*machine, len(opts))
 	for i, o := range opts {
@@ -80,7 +83,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 	// reintroduce exactly the cache interleaving chunking exists to avoid. A
 	// panic inside a worker — a mis-sized config, a cursor overrun — is
 	// re-raised in the caller's goroutine so recover-based isolation upstream
-	// keeps working exactly as it does for serial runs.
+	// keeps working exactly as it does on a single goroutine.
 	workers := min(runtime.GOMAXPROCS(0), len(machines))
 	panics := make([]any, workers)
 	forEachMachine := func(step func(m *machine)) {
@@ -140,9 +143,9 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 			forEachMachine(func(m *machine) {
 				l := m.lanes[0]
 				for i := range chunk {
-					// Same polling cadence as RunCtx: a chunk of a large
-					// batch is whole tenths of a second of work, too long to
-					// ignore cancellation for.
+					// Poll inside the chunk: a chunk of a large batch is
+					// whole tenths of a second of work, too long to ignore
+					// cancellation for.
 					if i&cancelCheckMask == cancelCheckMask && canceled() {
 						aborted.Store(true)
 						return
@@ -202,12 +205,11 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 // many references — fine-grained interleaving measurably thrashes the host
 // cache — while the ref buffer itself is read strictly sequentially, so its
 // size barely matters. Cancellation stays responsive regardless: workers
-// poll inside the slice on RunCtx's cadence.
+// poll inside the slice every cancelCheckMask+1 references.
 const refChunk = 65536
 
 // canceledBatch builds the placeholder results of an aborted batch: zero
-// metrics with one IPC slot per workload, the same shape RunCtx returns on
-// cancellation.
+// metrics with one IPC slot per workload.
 func canceledBatch(lanes, n int) []Result {
 	out := make([]Result, n)
 	for i := range out {

@@ -32,8 +32,9 @@ func batchRoster(rng *rand.Rand, base Options, k int) []Options {
 }
 
 // assertBatchMatchesSerial runs the roster once through RunBatch and once
-// config-at-a-time through Run, asserting bit-identical Results — every
-// float by bit pattern and every per-port stats counter.
+// config-at-a-time through Run — a batch of one, which steps its own cursor
+// instead of the shared chunk buffer — asserting bit-identical Results:
+// every float by bit pattern and every per-port stats counter.
 func assertBatchMatchesSerial(t *testing.T, label string, ws []trace.Workload, opts []Options) {
 	t.Helper()
 	batch := RunBatch(ws, opts)

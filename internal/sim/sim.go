@@ -158,57 +158,16 @@ func Run(ws []trace.Workload, opt Options) Result {
 	return res
 }
 
-// RunCtx is Run with a cancellation hook: the run loop polls ctx every
+// RunCtx is Run with a cancellation hook: the run polls ctx every
 // cancelCheckMask+1 references and aborts with ctx.Err() when it fires,
 // returning a zero Result whose IPC slice still has one entry per workload so
 // aggregation code indexing per-core fields never sees a short slice.
 // Cancellation never alters the outcome of a run that completes: results are
-// bit-identical to Run's.
+// bit-identical to Run's. A lone configuration is a batch of one, so this is
+// RunBatchCtx's run loop.
 func RunCtx(ctx context.Context, ws []trace.Workload, opt Options) (Result, error) {
-	n := len(ws)
-	if n == 0 {
-		panic("sim: no workloads")
-	}
-	if err := ctx.Err(); err != nil {
-		// Already canceled: skip lane setup (trace materialization alone can
-		// cost seconds at full scale).
-		return Result{IPC: make([]float64, n)}, err
-	}
-	m := newMachine(ws, opt, true)
-
-	// Interleave cores by advancing whichever is earliest in simulated time,
-	// so they contend for the shared LLC and DRAM realistically. A single
-	// lane needs no selection scan — the paper's single-thread machine runs
-	// the tight loop.
-	done := ctx.Done() // nil for context.Background(): no per-ref polling cost
-	var refsDone int
-	var ref trace.Ref
-	single := m.lanes[0]
-	for {
-		if done != nil && refsDone&cancelCheckMask == cancelCheckMask {
-			select {
-			case <-done:
-				return Result{IPC: make([]float64, n)}, ctx.Err()
-			default:
-			}
-		}
-		refsDone++
-		var l *simLane
-		if n == 1 {
-			if single.left == 0 {
-				break
-			}
-			l = single
-		} else {
-			l = m.earliest()
-			if l == nil {
-				break
-			}
-		}
-		l.gen.Next(&ref)
-		m.apply(l, &ref)
-	}
-	return m.finish(), nil
+	res, err := RunBatchCtx(ctx, ws, []Options{opt})
+	return res[0], err
 }
 
 // simLane is one core's stream state within a machine: the core model, its
@@ -224,8 +183,7 @@ type simLane struct {
 
 // machine is one fully-wired simulator instance — DRAM, memory system, and
 // one lane per workload — separated from the run loop so a batch can advance
-// several machines in lockstep over one trace stream (see RunBatchCtx) while
-// the serial path keeps its tight loop.
+// several machines in lockstep over one trace stream (see RunBatchCtx).
 type machine struct {
 	opt     Options
 	d       *dram.DRAM
@@ -313,9 +271,9 @@ func (m *machine) step(ref *trace.Ref) bool {
 	return true
 }
 
-// apply feeds one reference to lane l: the exact per-ref sequence of the
-// original run loop, shared verbatim by the serial and batch paths so their
-// results stay bit-identical.
+// apply feeds one reference to lane l: the exact per-ref sequence shared by
+// machines stepping their own cursors and machines fed from a shared one, so
+// both schedules stay bit-identical.
 func (m *machine) apply(l *simLane, ref *trace.Ref) {
 	l.core.Ops(ref.Gap)
 	l.ad.pc = ref.PC

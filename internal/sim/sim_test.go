@@ -143,18 +143,6 @@ func TestPollutionTracking(t *testing.T) {
 	}
 }
 
-func TestFindDSPatch(t *testing.T) {
-	if FindDSPatch(NewPrefetcher(PFDSPatch)) == nil {
-		t.Error("should find standalone DSPatch")
-	}
-	if FindDSPatch(NewPrefetcher(PFDSPatchSPP)) == nil {
-		t.Error("should find DSPatch inside a composite")
-	}
-	if FindDSPatch(NewPrefetcher(PFSPP)) != nil {
-		t.Error("should not find DSPatch in SPP")
-	}
-}
-
 func TestStorageRoster(t *testing.T) {
 	// Paper Table 3 ballparks.
 	checks := []struct {

@@ -310,9 +310,10 @@ func TestCampaignMarginals(t *testing.T) {
 }
 
 // TestCampaignStreamIdenticalWithBatchingDisabled is the scheduling-only
-// proof for lockstep batching: the same campaign with the engine's batching
-// toggled off must produce a byte-identical NDJSON stream — batching may
-// change only how points are executed, never what is emitted.
+// proof for lockstep batching: the same campaign run with one run per
+// RunJobs call, so no lockstep group can form, must produce a byte-identical
+// NDJSON stream — batching may change only how points are executed, never
+// what is emitted.
 func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 	c := Campaign{
 		Name: "batch-ab",
@@ -323,12 +324,13 @@ func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 			L2:        []string{"none", "spp", "bop"},
 		},
 	}
-	eng := Engine{Workers: 2, batch: 5}
-	batched := collect(t, eng, c)
+	batched := collect(t, Engine{Workers: 2, batch: 5}, c)
 	experiments.ResetMemo() // force the serial leg to actually re-simulate
-	experiments.SetBatching(false)
-	t.Cleanup(func() { experiments.SetBatching(true) })
-	serial := collect(t, eng, c)
+	before := experiments.EngineCounters()
+	serial := collect(t, Engine{Workers: 2, batch: 1}, c)
+	if d := experiments.EngineCounters().Batches - before.Batches; d != 0 {
+		t.Fatalf("serial leg ran %d lockstep batches, want none", d)
+	}
 	if len(batched) != len(serial) {
 		t.Fatalf("batched run emitted %d records, serial %d", len(batched), len(serial))
 	}
@@ -338,7 +340,7 @@ func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 			a, b = stripSummaryTelemetry(t, a), stripSummaryTelemetry(t, b)
 		}
 		if a != b {
-			t.Errorf("record %d differs between -batch=true and -batch=false:\n%s\n%s", i, a, b)
+			t.Errorf("record %d differs between batched and serial scheduling:\n%s\n%s", i, a, b)
 		}
 	}
 }

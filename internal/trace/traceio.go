@@ -233,13 +233,16 @@ func (m *Materialized) decodeColumnsLocked() error {
 		m.lines = make([]memaddr.Line, 0, n)
 		var last memaddr.Line
 		for i := 0; i < n; i++ {
-			u, w := binary.Uvarint(deltas)
+			u, w := uvarint(deltas)
 			if w <= 0 {
-				return fmt.Errorf("trace: import: truncated delta column at ref %d", i)
+				return fmt.Errorf("trace: import: truncated or non-canonical delta column at ref %d", i)
 			}
 			deltas = deltas[w:]
 			last = memaddr.Line(int64(last) + unzigzag(u))
 			m.lines = append(m.lines, last)
+		}
+		if len(deltas) != 0 {
+			return fmt.Errorf("trace: import: %d stray bytes after the delta column", len(deltas))
 		}
 	}
 	m.pcIdx = make([]uint32, n)
@@ -269,6 +272,14 @@ func (m *Materialized) decodeColumnsLocked() error {
 	if d.err != nil {
 		return fmt.Errorf("trace: import: %w", d.err)
 	}
+	// Export masks the partial flag words to the exported refs and ends the
+	// body with the dep column: anything else has a second encoding.
+	if past := ^(uint64(1)<<uint(n%64) - 1); (m.writeCur|m.depCur)&past != 0 {
+		return fmt.Errorf("trace: import: flag bits set past ref %d", n)
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("trace: import: %d trailing bytes after the columns", len(d.b))
+	}
 	for _, idx := range m.pcIdx {
 		if int(idx) >= dictLen {
 			return fmt.Errorf("trace: import: PC index %d outside dictionary of %d", idx, dictLen)
@@ -284,12 +295,15 @@ type decoder struct {
 	err error
 }
 
+// take returns the next n bytes. Past an error it returns zeroed scratch of
+// at most 8 bytes — enough for the fixed-width column reads to stay in
+// bounds — and never allocates from the untrusted length itself.
 func (d *decoder) take(n int) []byte {
 	if d.err != nil || n < 0 || n > len(d.b) {
 		if d.err == nil {
 			d.err = fmt.Errorf("truncated body (need %d bytes, have %d)", n, len(d.b))
 		}
-		return make([]byte, max(n, 0))
+		return make([]byte, min(max(n, 0), 8))
 	}
 	out := d.b[:n]
 	d.b = d.b[n:]
@@ -300,13 +314,24 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	u, w := binary.Uvarint(d.b)
+	u, w := uvarint(d.b)
 	if w <= 0 {
-		d.err = fmt.Errorf("truncated varint")
+		d.err = fmt.Errorf("truncated or non-canonical varint")
 		return 0
 	}
 	d.b = d.b[w:]
 	return u
+}
+
+// uvarint is binary.Uvarint restricted to the minimal encoding Export
+// writes: a multi-byte varint whose last byte is zero has a shorter form,
+// so it is rejected (w == 0) like a truncated one.
+func uvarint(b []byte) (uint64, int) {
+	u, w := binary.Uvarint(b)
+	if w > 1 && b[w-1] == 0 {
+		return 0, 0
+	}
+	return u, w
 }
 
 // writeUvarint writes a varint to w; errors surface through the CRC check on
