@@ -11,20 +11,6 @@ import (
 // SPT sizing; see the README's experiment index). Baselines are memoized,
 // so sweeping many variants re-simulates only the variant runs.
 func AblationDelta(kind sim.PF, s Scale) float64 {
-	ws := s.memIntensive()
-	var jobs []Job
-	for _, w := range ws {
-		opt := s.stOptions()
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, SingleJob(w, base))
-		opt.L2 = kind
-		jobs = append(jobs, SingleJob(w, opt))
-	}
-	results := s.runAll(jobs)
-	var ratios []float64
-	for k := 0; k < len(results); k += 2 {
-		ratios = append(ratios, sim.Speedup(results[k], results[k+1])[0])
-	}
-	return stats.GeomeanSpeedupPct(ratios)
+	runs := s.runPaired(singles(s.memIntensive(), s.stOptions()), []sim.PF{kind})
+	return stats.GeomeanSpeedupPct(column(runs, 0, stRatio))
 }

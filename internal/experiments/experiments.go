@@ -8,7 +8,9 @@
 // fan out across Scale.Parallel worker goroutines with deterministic result
 // ordering, and every PFNone baseline is memoized per
 // (workloads, DRAM, LLC, Refs, Seed) so figures that share a machine
-// configuration simulate each baseline exactly once per process.
+// configuration simulate each baseline exactly once per process. Figures
+// that compare prefetchers against that baseline build their runs with
+// runPaired and fold per-category results with FoldCategories.
 package experiments
 
 import (
@@ -133,6 +135,72 @@ func (s Scale) stOptions() sim.Options {
 	return o
 }
 
+// mpOptions is the paper's 4-core machine at this scale: each of the four
+// lanes runs half the single-thread reference budget.
+func (s Scale) mpOptions() sim.Options {
+	o := sim.DefaultMP()
+	o.Refs = s.Refs / 2
+	o.Seed = s.Seed
+	return o
+}
+
+// singles returns one single-thread cell per workload under opt.
+func singles(ws []trace.Workload, opt sim.Options) []Job {
+	cells := make([]Job, len(ws))
+	for i, w := range ws {
+		cells[i] = SingleJob(w, opt)
+	}
+	return cells
+}
+
+// pairedRun is one cell's outcome: its no-L2-prefetcher baseline and one
+// result per prefetcher, in the order runPaired was given them.
+type pairedRun struct {
+	base sim.Result
+	with []sim.Result
+}
+
+// runPaired is the measurement behind nearly every figure: each cell runs
+// once with no L2 prefetcher and once per pfs entry, with everything but L2
+// taken from the cell's Opt. Jobs are submitted per cell, baseline first,
+// as one engine batch, so cells sharing a trace run in lockstep and a
+// baseline another figure already ran is a memo hit.
+func (s Scale) runPaired(cells []Job, pfs []sim.PF) []pairedRun {
+	l2s := append([]sim.PF{sim.PFNone}, pfs...)
+	jobs := make([]Job, 0, len(cells)*len(l2s))
+	for _, c := range cells {
+		for _, pf := range l2s {
+			j := c
+			j.Opt.L2 = pf
+			jobs = append(jobs, j)
+		}
+	}
+	results := s.runAll(jobs)
+	runs := make([]pairedRun, len(cells))
+	for i := range runs {
+		rs := results[i*len(l2s) : (i+1)*len(l2s)]
+		runs[i] = pairedRun{base: rs[0], with: rs[1:]}
+	}
+	return runs
+}
+
+// stRatio is prefetcher i's single-thread speedup: the lane-0 IPC ratio.
+func stRatio(r pairedRun, i int) float64 { return sim.Speedup(r.base, r.with[i])[0] }
+
+// mixRatio is prefetcher i's speedup on a multi-core mix: the geomean of the
+// per-lane IPC ratios. On one lane it is exp(log x), which need not equal
+// stRatio bit for bit, so the two are not interchangeable.
+func mixRatio(r pairedRun, i int) float64 { return stats.Geomean(sim.Speedup(r.base, r.with[i])) }
+
+// column gathers prefetcher i's speedup ratio on every run, in run order.
+func column(runs []pairedRun, i int, ratio func(pairedRun, int) float64) []float64 {
+	out := make([]float64, len(runs))
+	for k, r := range runs {
+		out[k] = ratio(r, i)
+	}
+	return out
+}
+
 // CategoryResult holds per-category performance deltas for a prefetcher set
 // (the layout of Figs. 4, 12, 14, 17).
 type CategoryResult struct {
@@ -147,51 +215,45 @@ type CategoryResult struct {
 	Dropped int
 }
 
-// categorySweep runs each workload once per prefetcher (plus one shared
-// baseline) and aggregates per category. All simulations fan out across the
-// engine at s.Parallel width.
-func categorySweep(ws []trace.Workload, s Scale, opt sim.Options, pfs []sim.PF) CategoryResult {
-	jobs := make([]Job, 0, len(ws)*(len(pfs)+1))
-	for _, w := range ws {
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, SingleJob(w, base))
-		for _, pf := range pfs {
-			with := opt
-			with.L2 = pf
-			jobs = append(jobs, SingleJob(w, with))
-		}
-	}
-	results := s.runAll(jobs)
-
+// FoldCategories aggregates speedup ratios into a CategoryResult:
+// ratios[i][k] is pfs[i]'s ratio on cell k, whose category is cats[k]. A
+// category's delta is the geomean of its cells (NaN when it has none); the
+// overall geomean drops degenerate ratios and counts them in Dropped. Ratios
+// pool in cell order, so the same ratios fold to a bit-identical result —
+// sweep.CategoryResultFromPoints relies on that to reproduce the figures.
+func FoldCategories(pfs []sim.PF, cats []trace.Category, ratios [][]float64) CategoryResult {
 	res := CategoryResult{Prefetchers: pfs, Categories: trace.Categories}
-	perCat := make([]map[trace.Category][]float64, len(pfs))
-	all := make([][]float64, len(pfs))
 	for i := range pfs {
-		perCat[i] = map[trace.Category][]float64{}
-	}
-	k := 0
-	for _, w := range ws {
-		b := results[k]
-		k++
-		for i := range pfs {
-			ratio := sim.Speedup(b, results[k])[0]
-			k++
-			perCat[i][w.Category] = append(perCat[i][w.Category], ratio)
-			all[i] = append(all[i], ratio)
+		perCat := map[trace.Category][]float64{}
+		for k, r := range ratios[i] {
+			perCat[cats[k]] = append(perCat[cats[k]], r)
 		}
-	}
-	for i := range pfs {
 		var row []float64
 		for _, cat := range res.Categories {
-			row = append(row, deltaOrNaN(perCat[i][cat]))
+			row = append(row, deltaOrNaN(perCat[cat]))
 		}
 		res.Delta = append(res.Delta, row)
-		kept, dropped := stats.FiniteRatios(all[i])
+		kept, dropped := stats.FiniteRatios(ratios[i])
 		res.Dropped += dropped
 		res.Geomean = append(res.Geomean, stats.GeomeanSpeedupPct(kept))
 	}
 	return res
+}
+
+// categorySweep pairs every cell against pfs and folds the ratios by the
+// category of each cell's first workload; ratio is the caller's lane
+// reduction.
+func categorySweep(s Scale, cells []Job, pfs []sim.PF, ratio func(pairedRun, int) float64) CategoryResult {
+	runs := s.runPaired(cells, pfs)
+	cats := make([]trace.Category, len(cells))
+	for k, c := range cells {
+		cats[k] = c.Workloads[0].Category
+	}
+	ratios := make([][]float64, len(pfs))
+	for i := range pfs {
+		ratios[i] = column(runs, i, ratio)
+	}
+	return FoldCategories(pfs, cats, ratios)
 }
 
 // deltaOrNaN aggregates speedup ratios, or returns NaN when the category
@@ -238,37 +300,16 @@ type ScalingResult struct {
 func bandwidthSweep(ws []trace.Workload, s Scale, pfs []sim.PF) ScalingResult {
 	res := ScalingResult{Points: bwPoints(), Prefetchers: pfs}
 	res.Delta = make([][]float64, len(pfs))
-
-	jobs := make([]Job, 0, len(res.Points)*len(ws)*(len(pfs)+1))
+	var cells []Job
 	for _, pt := range res.Points {
 		opt := s.stOptions()
 		opt.DRAM = pt.Cfg
-		for _, w := range ws {
-			base := opt
-			base.L2 = sim.PFNone
-			jobs = append(jobs, SingleJob(w, base))
-			for _, pf := range pfs {
-				with := opt
-				with.L2 = pf
-				jobs = append(jobs, SingleJob(w, with))
-			}
-		}
+		cells = append(cells, singles(ws, opt)...)
 	}
-	results := s.runAll(jobs)
-
-	k := 0
-	for range res.Points {
-		ratios := make([][]float64, len(pfs))
-		for range ws {
-			b := results[k]
-			k++
-			for i := range pfs {
-				ratios[i] = append(ratios[i], sim.Speedup(b, results[k])[0])
-				k++
-			}
-		}
+	runs := s.runPaired(cells, pfs)
+	for p := range res.Points {
 		for i := range pfs {
-			kept, dropped := stats.FiniteRatios(ratios[i])
+			kept, dropped := stats.FiniteRatios(column(runs[p*len(ws):(p+1)*len(ws)], i, stRatio))
 			res.Dropped += dropped
 			res.Delta[i] = append(res.Delta[i], stats.GeomeanSpeedupPct(kept))
 		}

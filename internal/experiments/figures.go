@@ -20,7 +20,8 @@ func Fig1(s Scale) ScalingResult {
 // Fig4 regenerates paper Fig. 4: per-category performance of BOP, SMS and
 // SPP on a single channel of DDR4-2133.
 func Fig4(s Scale) CategoryResult {
-	return categorySweep(s.workloads(), s, s.stOptions(), []sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP})
+	return categorySweep(s, singles(s.workloads(), s.stOptions()),
+		[]sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP}, stRatio)
 }
 
 // Fig5Row is one point of the SMS storage sweep.
@@ -37,32 +38,19 @@ type Fig5Row struct {
 func Fig5(s Scale) []Fig5Row {
 	ws := s.workloads()
 	sweep := []int{16 << 10, 4 << 10, 1 << 10, 256}
-	var jobs []Job
+	var cells []Job
 	for _, entries := range sweep {
 		opt := s.stOptions()
 		opt.SMSPHTEntries = entries
-		for _, w := range ws {
-			base := opt
-			base.L2 = sim.PFNone
-			jobs = append(jobs, SingleJob(w, base))
-			with := opt
-			with.L2 = sim.PFSMS
-			jobs = append(jobs, SingleJob(w, with))
-		}
+		cells = append(cells, singles(ws, opt)...)
 	}
-	results := s.runAll(jobs)
+	runs := s.runPaired(cells, []sim.PF{sim.PFSMS})
 
 	var out []Fig5Row
-	k := 0
-	for _, entries := range sweep {
-		var ratios []float64
-		for range ws {
-			ratios = append(ratios, sim.Speedup(results[k], results[k+1])[0])
-			k += 2
-		}
+	for e, entries := range sweep {
 		kb := float64(sms.New(sms.DefaultConfig().WithPHTEntries(entries)).StorageBits()) / 8192
 		out = append(out, Fig5Row{PHTEntries: entries, StorageKB: kb,
-			DeltaPct: stats.GeomeanSpeedupPct(ratios)})
+			DeltaPct: stats.GeomeanSpeedupPct(column(runs[e*len(ws):(e+1)*len(ws)], 0, stRatio))})
 	}
 	return out
 }
@@ -169,8 +157,8 @@ func Fig11b(s Scale) [6]float64 {
 // Fig12 regenerates paper Fig. 12: single-thread per-category performance of
 // BOP, SMS, SPP, DSPatch and DSPatch+SPP.
 func Fig12(s Scale) CategoryResult {
-	return categorySweep(s.workloads(), s, s.stOptions(),
-		[]sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP, sim.PFDSPatch, sim.PFDSPatchSPP})
+	return categorySweep(s, singles(s.workloads(), s.stOptions()),
+		[]sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP, sim.PFDSPatch, sim.PFDSPatchSPP}, stRatio)
 }
 
 // Fig13Row is one workload of the memory-intensive line graph.
@@ -186,36 +174,17 @@ type Fig13Row struct {
 // DSPatch+SPP over the 42 memory-intensive workloads, sorted by DSPatch+SPP.
 func Fig13(s Scale) []Fig13Row {
 	ws := s.memIntensive()
-	pfs := []sim.PF{sim.PFSMS, sim.PFSPP, sim.PFDSPatchSPP}
-	var jobs []Job
-	for _, w := range ws {
-		opt := s.stOptions()
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, SingleJob(w, base))
-		for _, pf := range pfs {
-			with := opt
-			with.L2 = pf
-			jobs = append(jobs, SingleJob(w, with))
-		}
-	}
-	results := s.runAll(jobs)
+	runs := s.runPaired(singles(ws, s.stOptions()), []sim.PF{sim.PFSMS, sim.PFSPP, sim.PFDSPatchSPP})
 
 	var out []Fig13Row
-	k := 0
-	for _, w := range ws {
-		b := results[k]
-		deltas := make([]float64, len(pfs))
-		for i := range pfs {
-			deltas[i] = stats.SpeedupPct(sim.Speedup(b, results[k+1+i])[0])
-		}
-		k += 1 + len(pfs)
+	for k, w := range ws {
+		delta := func(i int) float64 { return stats.SpeedupPct(stRatio(runs[k], i)) }
 		out = append(out, Fig13Row{
 			Workload: w.Name,
 			Category: w.Category,
-			SMS:      deltas[0],
-			SPP:      deltas[1],
-			DSPatchS: deltas[2],
+			SMS:      delta(0),
+			SPP:      delta(1),
+			DSPatchS: delta(2),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DSPatchS < out[j].DSPatchS })
@@ -225,8 +194,8 @@ func Fig13(s Scale) []Fig13Row {
 // Fig14 regenerates paper Fig. 14: adjunct prefetchers to SPP — BOP+SPP,
 // iso-storage SMS+SPP and DSPatch+SPP against standalone SPP.
 func Fig14(s Scale) CategoryResult {
-	return categorySweep(s.workloads(), s, s.stOptions(),
-		[]sim.PF{sim.PFSPP, sim.PFBOPSPP, sim.PFSMS256SPP, sim.PFDSPatchSPP})
+	return categorySweep(s, singles(s.workloads(), s.stOptions()),
+		[]sim.PF{sim.PFSPP, sim.PFBOPSPP, sim.PFSMS256SPP, sim.PFDSPatchSPP}, stRatio)
 }
 
 // Fig15 regenerates paper Fig. 15: bandwidth scaling of BOP, SMS, SPP,
@@ -255,12 +224,11 @@ func Fig16(s Scale) []Fig16Row {
 	for _, cat := range trace.Categories {
 		for _, pf := range pfs {
 			for _, w := range ws {
-				if w.Category != cat {
-					continue
+				if w.Category == cat {
+					opt := s.stOptions()
+					opt.L2 = pf
+					jobs = append(jobs, SingleJob(w, opt))
 				}
-				opt := s.stOptions()
-				opt.L2 = pf
-				jobs = append(jobs, SingleJob(w, opt))
 			}
 		}
 	}
@@ -272,18 +240,14 @@ func Fig16(s Scale) []Fig16Row {
 	for _, pf := range pfs {
 		total[pf] = &agg{}
 	}
-	k := 0
 	for _, cat := range trace.Categories {
 		for _, pf := range pfs {
 			var covs, miss []float64
-			for _, w := range ws {
-				if w.Category != cat {
-					continue
+			for i, j := range jobs {
+				if j.Workloads[0].Category == cat && j.Opt.L2 == pf {
+					covs = append(covs, results[i].Coverage)
+					miss = append(miss, results[i].MispredRate)
 				}
-				r := results[k]
-				k++
-				covs = append(covs, r.Coverage)
-				miss = append(miss, r.MispredRate)
 			}
 			c, m := stats.Mean(covs), stats.Mean(miss)
 			out = append(out, Fig16Row{Prefetcher: pf, Category: cat,
@@ -306,55 +270,13 @@ func Fig16(s Scale) []Fig16Row {
 // Fig17 regenerates paper Fig. 17: homogeneous 4-core mixes (four copies of
 // each memory-intensive workload) on the dual-channel MP machine.
 func Fig17(s Scale) CategoryResult {
-	pfs := []sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP, sim.PFDSPatchSPP}
-	res := CategoryResult{Prefetchers: pfs, Categories: trace.Categories}
-	perCat := make([]map[trace.Category][]float64, len(pfs))
-	all := make([][]float64, len(pfs))
-	for i := range pfs {
-		perCat[i] = map[trace.Category][]float64{}
-	}
 	// The memory-intensive sample is already category-balanced; run one
 	// homogeneous 4-copy mix per member.
-	mixes := s.memIntensive()
-	var jobs []Job
-	for _, w := range mixes {
-		four := []trace.Workload{w, w, w, w}
-		opt := sim.DefaultMP()
-		opt.Refs = s.Refs / 2
-		opt.Seed = s.Seed
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, Job{Workloads: four, Opt: base})
-		for _, pf := range pfs {
-			with := opt
-			with.L2 = pf
-			jobs = append(jobs, Job{Workloads: four, Opt: with})
-		}
+	var cells []Job
+	for _, w := range s.memIntensive() {
+		cells = append(cells, Job{Workloads: []trace.Workload{w, w, w, w}, Opt: s.mpOptions()})
 	}
-	results := s.runAll(jobs)
-
-	k := 0
-	for _, w := range mixes {
-		b := results[k]
-		k++
-		for i := range pfs {
-			ratio := stats.Geomean(sim.Speedup(b, results[k]))
-			k++
-			perCat[i][w.Category] = append(perCat[i][w.Category], ratio)
-			all[i] = append(all[i], ratio)
-		}
-	}
-	for i := range pfs {
-		var row []float64
-		for _, cat := range res.Categories {
-			row = append(row, deltaOrNaN(perCat[i][cat]))
-		}
-		res.Delta = append(res.Delta, row)
-		kept, dropped := stats.FiniteRatios(all[i])
-		res.Dropped += dropped
-		res.Geomean = append(res.Geomean, stats.GeomeanSpeedupPct(kept))
-	}
-	return res
+	return categorySweep(s, cells, []sim.PF{sim.PFBOP, sim.PFSMS, sim.PFSPP, sim.PFDSPatchSPP}, mixRatio)
 }
 
 // Fig18Row is one bar group of the MP bandwidth figure.
@@ -394,36 +316,17 @@ func Fig18(s Scale) []Fig18Row {
 			name  string
 			mixes [][]trace.Workload
 		}{{"Homogeneous", homo}, {"Heterogeneous", hetero}} {
-			var jobs []Job
+			opt := s.mpOptions()
+			opt.DRAM = dram.DDR4(2, mt)
+			var cells []Job
 			for _, mix := range kind.mixes {
-				opt := sim.DefaultMP()
-				opt.DRAM = dram.DDR4(2, mt)
-				opt.Refs = s.Refs / 2
-				opt.Seed = s.Seed
-				base := opt
-				base.L2 = sim.PFNone
-				jobs = append(jobs, Job{Workloads: mix, Opt: base})
-				for _, pf := range pfs {
-					with := opt
-					with.L2 = pf
-					jobs = append(jobs, Job{Workloads: mix, Opt: with})
-				}
+				cells = append(cells, Job{Workloads: mix, Opt: opt})
 			}
-			results := s.runAll(jobs)
+			runs := s.runPaired(cells, pfs)
 
 			row := Fig18Row{Mix: kind.name, MTps: mt, Delta: map[sim.PF]float64{}}
-			ratios := map[sim.PF][]float64{}
-			k := 0
-			for range kind.mixes {
-				b := results[k]
-				k++
-				for _, pf := range pfs {
-					ratios[pf] = append(ratios[pf], stats.Geomean(sim.Speedup(b, results[k])))
-					k++
-				}
-			}
-			for _, pf := range pfs {
-				row.Delta[pf] = stats.GeomeanSpeedupPct(ratios[pf])
+			for i, pf := range pfs {
+				row.Delta[pf] = stats.GeomeanSpeedupPct(column(runs, i, mixRatio))
 			}
 			out = append(out, row)
 		}
@@ -442,42 +345,15 @@ type Fig19Result struct {
 // and ModCovP variants that never use AccP, on a bandwidth-constrained
 // machine where the selection logic matters.
 func Fig19(s Scale) Fig19Result {
-	ws := s.memIntensive()
-	pfs := []sim.PF{sim.PFDSPatch, sim.PFDSPatchAlwaysCov, sim.PFDSPatchModCov}
-	var jobs []Job
-	for _, w := range ws {
-		// Four copies on the MP machine: bandwidth contention is what
-		// differentiates the variants.
-		four := []trace.Workload{w, w, w, w}
-		opt := sim.DefaultMP()
-		opt.Refs = s.Refs / 2
-		opt.Seed = s.Seed
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, Job{Workloads: four, Opt: base})
-		for _, pf := range pfs {
-			with := opt
-			with.L2 = pf
-			jobs = append(jobs, Job{Workloads: four, Opt: with})
-		}
+	// Four copies on the MP machine: bandwidth contention is what
+	// differentiates the variants.
+	var cells []Job
+	for _, w := range s.memIntensive() {
+		cells = append(cells, Job{Workloads: []trace.Workload{w, w, w, w}, Opt: s.mpOptions()})
 	}
-	results := s.runAll(jobs)
-
-	ratios := make([][]float64, len(pfs))
-	k := 0
-	for range ws {
-		b := results[k]
-		k++
-		for i := range pfs {
-			ratios[i] = append(ratios[i], stats.Geomean(sim.Speedup(b, results[k])))
-			k++
-		}
-	}
-	return Fig19Result{
-		DSPatch:    stats.GeomeanSpeedupPct(ratios[0]),
-		AlwaysCovP: stats.GeomeanSpeedupPct(ratios[1]),
-		ModCovP:    stats.GeomeanSpeedupPct(ratios[2]),
-	}
+	runs := s.runPaired(cells, []sim.PF{sim.PFDSPatch, sim.PFDSPatchAlwaysCov, sim.PFDSPatchModCov})
+	delta := func(i int) float64 { return stats.GeomeanSpeedupPct(column(runs, i, mixRatio)) }
+	return Fig19Result{DSPatch: delta(0), AlwaysCovP: delta(1), ModCovP: delta(2)}
 }
 
 // Fig20Row is the pollution taxonomy at one LLC size.
@@ -507,12 +383,9 @@ func Fig20(s Scale) []Fig20Row {
 	results := s.runAll(jobs)
 
 	var out []Fig20Row
-	k := 0
-	for _, mb := range sizes {
+	for m, mb := range sizes {
 		var n, p, b []float64
-		for range ws {
-			r := results[k]
-			k++
+		for _, r := range results[m*len(ws) : (m+1)*len(ws)] {
 			if r.Pollution[0]+r.Pollution[1]+r.Pollution[2] == 0 {
 				continue // no prefetch-caused LLC victims in this workload
 			}
@@ -546,28 +419,11 @@ func Headline(s Scale) HeadlineResult {
 	var allSPP, allBoth, hotSPP, hotBoth, allDSP []float64
 	var covSPP, covBoth, misSPP, misBoth []float64
 	ws := s.workloads()
-	var jobs []Job
-	for _, w := range ws {
-		opt := s.stOptions()
-		base := opt
-		base.L2 = sim.PFNone
-		jobs = append(jobs, SingleJob(w, base))
-		for _, pf := range []sim.PF{sim.PFSPP, sim.PFDSPatchSPP, sim.PFDSPatch} {
-			with := opt
-			with.L2 = pf
-			jobs = append(jobs, SingleJob(w, with))
-		}
-	}
-	results := s.runAll(jobs)
-
-	k := 0
-	for _, w := range ws {
-		b, rs, rb, rd := results[k], results[k+1], results[k+2], results[k+3]
-		k += 4
-
-		sppRatio := sim.Speedup(b, rs)[0]
-		bothRatio := sim.Speedup(b, rb)[0]
-		dspRatio := sim.Speedup(b, rd)[0]
+	runs := s.runPaired(singles(ws, s.stOptions()), []sim.PF{sim.PFSPP, sim.PFDSPatchSPP, sim.PFDSPatch})
+	for k, w := range ws {
+		r := runs[k]
+		rs, rb := r.with[0], r.with[1]
+		sppRatio, bothRatio, dspRatio := stRatio(r, 0), stRatio(r, 1), stRatio(r, 2)
 		// The headline numbers are ratios of geomeans, so the numerator and
 		// denominator sets must stay paired: a workload with any degenerate
 		// ratio is dropped from all of them, not clamped.

@@ -1,11 +1,8 @@
 package sweep
 
 import (
-	"math"
-
 	"dspatch/internal/experiments"
 	"dspatch/internal/sim"
-	"dspatch/internal/stats"
 	"dspatch/internal/trace"
 )
 
@@ -13,41 +10,24 @@ import (
 // into the CategoryResult shape the Fig. 4/12/14/17 registry functions
 // return. recs must be the stream's single-lane point records in canonical
 // campaign order for a sweep whose axes are the given workloads (outermost)
-// and a baseline-plus-pfs l2 axis (innermost): that ordering feeds every
-// per-category and overall pool the same ratio sequence the registry's
-// categorySweep aggregates, so the folded result renders byte-identically.
-// examples/campaign and the sweep tests share it to pin that equivalence.
+// and a baseline-plus-pfs l2 axis (innermost): each run of len(pfs) records
+// is then one workload cell, and experiments.FoldCategories pools the same
+// ratio sequence the registry's figures do, so the folded result renders
+// byte-identically. examples/campaign and the sweep tests share it to pin
+// that equivalence.
 func CategoryResultFromPoints(ws []trace.Workload, pfs []sim.PF, recs []PointRecord) experiments.CategoryResult {
 	catOf := map[string]trace.Category{}
 	for _, w := range ws {
 		catOf[w.Name] = w.Category
 	}
-	res := experiments.CategoryResult{Prefetchers: pfs, Categories: trace.Categories}
-	perCat := make([]map[trace.Category][]float64, len(pfs))
-	all := make([][]float64, len(pfs))
-	for i := range pfs {
-		perCat[i] = map[trace.Category][]float64{}
-	}
+	var cats []trace.Category
+	ratios := make([][]float64, len(pfs))
 	for k, rec := range recs {
 		i := k % len(pfs) // l2 is the innermost axis
-		ratio := rec.Speedup[0]
-		cat := catOf[rec.Point.Workloads[0]]
-		perCat[i][cat] = append(perCat[i][cat], ratio)
-		all[i] = append(all[i], ratio)
-	}
-	for i := range pfs {
-		var row []float64
-		for _, cat := range res.Categories {
-			if len(perCat[i][cat]) == 0 {
-				row = append(row, math.NaN())
-			} else {
-				row = append(row, stats.GeomeanSpeedupPct(perCat[i][cat]))
-			}
+		if i == 0 {
+			cats = append(cats, catOf[rec.Point.Workloads[0]])
 		}
-		res.Delta = append(res.Delta, row)
-		kept, dropped := stats.FiniteRatios(all[i])
-		res.Dropped += dropped
-		res.Geomean = append(res.Geomean, stats.GeomeanSpeedupPct(kept))
+		ratios[i] = append(ratios[i], rec.Speedup[0])
 	}
-	return res
+	return experiments.FoldCategories(pfs, cats, ratios)
 }
