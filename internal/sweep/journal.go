@@ -264,10 +264,13 @@ func (j *Journal) Path() string { return j.path }
 func (j *Journal) Close() error { return j.f.Close() }
 
 // Replay feeds the journal's terminal events through rec in ascending
-// position order: completions are rehydrated from store (a store miss
-// leaves the position unresolved — it simply re-runs), drops re-drop with
-// their journaled reasons. It returns resolved[pos] == true for every
-// position the replay settled, so the caller dispatches only the rest.
+// position order: completions are rehydrated from store, drops re-drop with
+// their journaled reasons. A completion whose keys are not the position's
+// current run keys stays unresolved and re-runs, as does a store miss: a
+// workload name the restarted process registers with different content
+// fingerprints to new keys, and the old content's results must not be
+// replayed under it. It returns resolved[pos] == true for every position
+// the replay settled, so the caller dispatches only the rest.
 func (st *JournalState) Replay(rec *Recorder, store experiments.ResultStore) ([]bool, error) {
 	if store == nil {
 		return nil, fmt.Errorf("sweep: journal replay needs a result store")
@@ -284,6 +287,14 @@ func (st *JournalState) Replay(rec *Recorder, store experiments.ResultStore) ([]
 		ev, ok := st.Done[pos]
 		if !ok {
 			continue
+		}
+		selfPt, basePt, hasBase := rec.Pair(pos)
+		wantBase := ""
+		if hasBase {
+			wantBase = pointKey(basePt)
+		}
+		if ev.Key != pointKey(selfPt) || ev.Base != wantBase {
+			continue // journaled for other content: re-run the point
 		}
 		self, found := store.Get(ev.Key)
 		if !found {
@@ -303,4 +314,11 @@ func (st *JournalState) Replay(rec *Recorder, store experiments.ResultStore) ([]
 		resolved[pos] = true
 	}
 	return resolved, nil
+}
+
+// pointKey is the ResultStore key of p's run ("" if it is not memoizable;
+// campaign points always are).
+func pointKey(p Point) string {
+	key, _ := experiments.JobKey(p.Job())
+	return key
 }

@@ -9,6 +9,7 @@ import (
 
 	"dspatch/internal/experiments"
 	"dspatch/internal/sim"
+	"dspatch/internal/trace"
 )
 
 // journalCampaign is a distinct spec (refs=691) so memo cross-talk with
@@ -319,5 +320,75 @@ func TestJournalReplayStoreMissReruns(t *testing.T) {
 	}
 	if sum.Points != 4 || len(lines) != 6 { // header + 4 points + summary
 		t.Errorf("resumed-with-miss run: %d points, %d lines", sum.Points, len(lines))
+	}
+}
+
+// TestJournalReplayRerunsStaleKeys journals a campaign over a scenario
+// workload, then resumes it in a registry where the same name carries
+// different content (a restart with an edited -scenario file). The
+// journaled keys no longer match the points' keys, so every position must
+// re-run: the resumed stream must equal a fresh run on the new content, not
+// replay the old content's results.
+func TestJournalReplayRerunsStaleKeys(t *testing.T) {
+	t.Cleanup(trace.ResetShared)
+	register := func(nodes int) {
+		t.Helper()
+		trace.ResetShared()
+		if _, err := trace.RegisterSpec(listSpec("journal-stale-chase", nodes)); err != nil {
+			t.Fatalf("RegisterSpec: %v", err)
+		}
+	}
+	c := Campaign{
+		Name: "stale",
+		Base: Point{Refs: 733},
+		Axes: Axes{
+			Workloads: []Mix{{"journal-stale-chase"}},
+			L2:        []string{"none", "spp"},
+		},
+	}
+	run := func(eng Engine) []string {
+		t.Helper()
+		var lines []string
+		if _, err := eng.Run(context.Background(), c, func(line json.RawMessage) error {
+			lines = append(lines, string(line))
+			return nil
+		}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		lines[len(lines)-1] = stripSummaryTelemetry(t, lines[len(lines)-1])
+		return lines
+	}
+
+	register(2048)
+	store := newMemStore()
+	path := filepath.Join(t.TempDir(), "stale.journal")
+	jl, err := CreateJournal(path, "j000001", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := run(Engine{Workers: 1, Journal: jl, Store: store})
+	jl.Close()
+	st, err := ReadJournalState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Done) != 2 {
+		t.Fatalf("journal has %d done records, want 2", len(st.Done))
+	}
+	st.Sealed, st.Summary = false, nil // resume it as if the run had crashed
+
+	register(4096)
+	want := run(Engine{Workers: 1})
+	if want[1] == old[1] {
+		t.Fatal("re-registered content produced the same records; the test cannot tell stale from fresh")
+	}
+	got := run(Engine{Workers: 1, Store: store, Resume: st})
+	if len(got) != len(want) {
+		t.Fatalf("resumed stream has %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d replayed stale content:\nwant %s\ngot  %s", i, want[i], got[i])
+		}
 	}
 }
