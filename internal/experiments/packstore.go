@@ -113,8 +113,8 @@ func (s *PackStore) load() error {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxPackFrame {
-			break
+		if n == 0 || n > maxPackFrame || int64(n) > fi.Size()-end-8 {
+			break // corrupt length, or longer than the file: a torn tail
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(s.f, payload); err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dspatch/internal/sim"
@@ -193,4 +194,88 @@ func TestPackStoreBackendBehindRunner(t *testing.T) {
 	if c1.DiskHits-c0.DiskHits != 1 {
 		t.Errorf("DiskHits delta = %d, want 1", c1.DiskHits-c0.DiskHits)
 	}
+}
+
+// FuzzOpenPackStore feeds arbitrary bytes to OpenPackStore as a pack file.
+// Opening must never panic or allocate more than one maximal frame; a store
+// that opens must serve every indexed current-version entry through Get,
+// and a Put must survive a reopen alongside everything served before it.
+func FuzzOpenPackStore(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.pack")
+	s, err := OpenPackStore(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, key := range []string{"k1", "k2", "k1"} { // the second k1 supersedes
+		if err := s.Put(key, packResult(uint64(i+1))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.Close()
+	pack, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale, _ := json.Marshal(cacheEntry{Version: sim.ResultVersion - 1, Key: "old", Result: packResult(4)})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(stale)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(stale))
+	f.Add(pack)
+	f.Add(pack[:len(pack)-5]) // torn tail
+	f.Add(append(append(append([]byte{}, pack...), frame...), stale...))
+	f.Add([]byte(packMagic + "\xff\xff\xff\x03\x00\x00\x00\x00")) // length word past the file
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.pack")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s, err := OpenPackStore(path)
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > maxPackFrame {
+			t.Fatalf("opening a %d-byte pack allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return // not a pack store
+		}
+		served := map[string]sim.Result{}
+		for key, loc := range s.index {
+			payload := make([]byte, loc.n)
+			if _, err := s.f.ReadAt(payload, loc.off); err != nil {
+				t.Fatalf("%q: indexed frame unreadable: %v", key, err)
+			}
+			var e cacheEntry
+			if err := json.Unmarshal(payload, &e); err != nil {
+				t.Fatalf("%q: indexed frame does not decode: %v", key, err)
+			}
+			got, ok := s.Get(key)
+			if ok != (e.Version == sim.ResultVersion) {
+				t.Fatalf("%q: Get hit=%v for an entry of version %d", key, ok, e.Version)
+			}
+			if ok {
+				if !reflect.DeepEqual(got, e.Result) {
+					t.Fatalf("%q: Get served %+v, frame holds %+v", key, got, e.Result)
+				}
+				served[key] = got
+			}
+		}
+		put := packResult(77)
+		if err := s.Put("fuzz-put", put); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		served["fuzz-put"] = put
+		s.Close()
+		s2, err := OpenPackStore(path)
+		if err != nil {
+			t.Fatalf("reopen after Put: %v", err)
+		}
+		defer s2.Close()
+		for key, want := range served {
+			if got, ok := s2.Get(key); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q after reopen: %+v ok=%v, want %+v", key, got, ok, want)
+			}
+		}
+	})
 }
