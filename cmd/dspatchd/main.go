@@ -72,7 +72,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	queue := fs.Int("queue", 0, "queued jobs per worker shard before 503 (0 = default 64)")
 	maxJobs := fs.Int("max-jobs", 0, "retained job records before eviction (0 = default 4096)")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory shared with dspatchsim")
-	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long running jobs may finish after SIGTERM")
 	maxWait := fs.Duration("max-wait", 30*time.Second, "cap on ?wait= long-polls and campaign follow streams")
 	maxCampStreams := fs.Int("max-campaign-streams", 0, "finished campaigns keeping their full NDJSON stream in memory (0 = default 64)")
@@ -118,8 +117,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Sprintf("-max-wait must be positive, got %s", *maxWait))
 	case *maxCampStreams < 0:
 		return fail(fmt.Sprintf("-max-campaign-streams must be non-negative, got %d", *maxCampStreams))
-	case *noCache && *cacheDir == "":
-		return fail("-no-cache without -cache-dir has nothing to disable")
 	case *coordinator && *workers == "" && *workersFile == "":
 		return fail("-coordinator requires -workers or -workers-file")
 	case *workers != "" && *workersFile != "":
@@ -158,11 +155,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Sprintf("-campaign-low (%d) must be below -campaign-high (%d)", *campLow, *campHigh))
 	case *chaosWorker != "" && *chaosFile == "":
 		return fail("-chaos-worker requires -chaos-file")
-	}
-	activeCacheDir := *cacheDir
-	if *noCache {
-		activeCacheDir = ""
-		fmt.Fprintln(stderr, "note: persistent run cache disabled by -no-cache")
 	}
 
 	// Startup scenario registration: names become part of this daemon's
@@ -228,7 +220,7 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SimWorkers:         *simWorkers,
 		QueueDepth:         *queue,
 		MaxJobs:            *maxJobs,
-		CacheDir:           activeCacheDir,
+		CacheDir:           *cacheDir,
 		DrainTimeout:       *drain,
 		MaxWait:            *maxWait,
 		MaxCampaignStreams: *maxCampStreams,

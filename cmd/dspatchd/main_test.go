@@ -36,7 +36,6 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"zero max wait", []string{"-max-wait", "0s"}, "-max-wait"},
 		{"negative max wait", []string{"-max-wait", "-10s"}, "-max-wait"},
 		{"negative campaign streams", []string{"-max-campaign-streams", "-1"}, "-max-campaign-streams"},
-		{"no-cache without cache-dir", []string{"-no-cache"}, "-no-cache"},
 		{"coordinator without workers", []string{"-coordinator"}, "-coordinator requires -workers"},
 		{"workers without coordinator", []string{"-workers", "http://w1:8491"}, "-workers requires -coordinator"},
 		{"workers-file without coordinator", []string{"-workers-file", "/tmp/workers.txt"}, "-workers-file requires -coordinator"},

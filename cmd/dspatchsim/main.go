@@ -61,7 +61,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	campaignOut := fs.String("campaign-out", "", "write the campaign NDJSON stream to this file (default stdout)")
 	campaignCSV := fs.String("campaign-csv", "", "also mirror campaign point records into this CSV file")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory: completed simulations are reused across process invocations")
-	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
 	stats := fs.Bool("stats", false, "run the -workload once with per-prefetcher telemetry and print the stats tables")
 	statsJSON := fs.Bool("stats-json", false, "emit the -stats output as JSON instead of tables")
 	l2 := fs.String("l2", "dspatch", "L2 prefetcher for -stats (see GET /v1/prefetchers or internal/sim)")
@@ -108,8 +107,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		return fail("-bench-out only applies to -bench")
 	case *benchGate && *benchDiff == "":
 		return fail("-bench-gate only applies to -bench-diff")
-	case *noCache && *cacheDir == "":
-		return fail("-no-cache without -cache-dir has nothing to disable")
 	case *benchDiff != "" && (*exp != "" || *bench || *traceExport != "" || *traceImport != ""):
 		return fail("-bench-diff cannot be combined with -experiment, -bench or trace flags")
 	case (*campaignOut != "" || *campaignCSV != "") && *campaign == "":
@@ -172,7 +169,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	// + seed) cannot distinguish from the synthetic generator, so importing
 	// forces the cache off for the invocation.
 	activeCacheDir := ""
-	if *cacheDir != "" && !*noCache {
+	if *cacheDir != "" {
 		if *traceImport != "" {
 			fmt.Fprintln(stderr, "note: persistent run cache disabled for this invocation: -trace-import replaces a stream the cache key does not capture")
 		} else {

@@ -43,7 +43,6 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"malformed refs", []string{"-experiment", "fig4", "-refs", "many"}, "invalid value"},
 		{"workload without export", []string{"-workload", "tpcc", "-experiment", "fig4"}, "-workload"},
 		{"bench-out without bench", []string{"-bench-out", "x.json", "-experiment", "fig4"}, "-bench-out"},
-		{"no-cache without cache-dir", []string{"-no-cache", "-experiment", "fig4"}, "-no-cache"},
 		{"bench-diff with experiment", []string{"-bench-diff", "a.json,b.json", "-experiment", "fig4"}, "-bench-diff"},
 		{"bench-diff with bench", []string{"-bench-diff", "a.json,b.json", "-bench"}, "-bench-diff"},
 		{"bench-diff single file", []string{"-bench-diff", "only.json"}, "OLD.json,NEW.json"},
