@@ -224,11 +224,12 @@ func Fig16(s Scale) []Fig16Row {
 	for _, cat := range trace.Categories {
 		for _, pf := range pfs {
 			for _, w := range ws {
-				if w.Category == cat {
-					opt := s.stOptions()
-					opt.L2 = pf
-					jobs = append(jobs, SingleJob(w, opt))
+				if w.Category != cat {
+					continue
 				}
+				opt := s.stOptions()
+				opt.L2 = pf
+				jobs = append(jobs, SingleJob(w, opt))
 			}
 		}
 	}
